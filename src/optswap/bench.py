@@ -16,8 +16,6 @@ from .gates import GateKind
 from .qasm import parse_qasm, parse_qasm_file
 from .routing import NASSC, SABRE, RouterConfig, full_pipeline
 from .topology import (
-    CouplingMap,
-    MissingEdgeData,
     NoiseProfile,
     load_noise_profile,
     resolve_coupling,

@@ -16,9 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit
 from .dag import CircuitDag
-from .gates import Gate, GateKind, SELF_INVERSE_KINDS, gate_matrix
+from .gates import Gate, GateKind, SELF_INVERSE_KINDS
 from .sim import apply_gate
 
 SEARCH_CAP = 20
@@ -76,15 +75,13 @@ def gates_commute(g1: Gate, g2: Gate) -> bool:
     return _commute_key(g1.kind, key1, p1, g2.kind, key2, p2, len(wires))
 
 
-def commutation_analysis(dag: CircuitDag) -> dict[tuple[int, int], int]:
-    """Group contiguous commuting gates per wire; annotates the dag.
-
-    Returns the (node, wire) -> set_id map.  Non-unitary nodes form singleton
+def commutation_analysis(dag: CircuitDag) -> None:
+    """Group contiguous commuting gates per wire into ``dag.commute_set``,
+    the (node, wire) -> set_id map.  Non-unitary nodes form singleton
     sets.  Membership checks look at no more than the first SEARCH_CAP
     members of the open set.
     """
     dag.commute_set.clear()
-    dag.commute_members.clear()
     next_id = 0
     for wire, nodes in enumerate(dag.wires):
         current: list[int] = []
@@ -101,14 +98,12 @@ def commutation_analysis(dag: CircuitDag) -> dict[tuple[int, int], int]:
                 current_id = next_id
                 next_id += 1
                 current = []
-                dag.commute_members[current_id] = current
             current.append(nid)
             dag.commute_set[(nid, wire)] = current_id
             if not gate.is_unitary_gate():
                 # measure/barrier: close the set so nothing commutes across
                 current = []
                 current_id = None
-    return dict(dag.commute_set)
 
 
 def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
@@ -136,11 +131,6 @@ def commutative_cancellation(dag: CircuitDag) -> CircuitDag:
 
 def _cancel_once(dag: CircuitDag) -> set[int]:
     removed: set[int] = set()
-    pos_on_wire: dict[tuple[int, int], int] = {}
-    for wire, nodes in enumerate(dag.wires):
-        for i, nid in enumerate(nodes):
-            pos_on_wire[(nid, wire)] = i
-
     for wire, nodes in enumerate(dag.wires):
         by_key: dict[tuple, list[int]] = {}
         for nid in nodes:
@@ -158,7 +148,7 @@ def _cancel_once(dag: CircuitDag) -> set[int]:
                 if pending is None:
                     pending = nid
                     continue
-                if self_inverse_pair_cancels(dag, pending, nid, pos_on_wire):
+                if self_inverse_pair_cancels(dag, pending, nid):
                     removed.add(pending)
                     removed.add(nid)
                     pending = None
@@ -167,48 +157,17 @@ def _cancel_once(dag: CircuitDag) -> set[int]:
     return removed
 
 
-def self_inverse_pair_cancels(dag, nid_a, nid_b, pos_on_wire) -> bool:
+def self_inverse_pair_cancels(dag, nid_a, nid_b) -> bool:
     gate = dag.nodes[nid_a].gate
     for wire in gate.qubits:
         sa = dag.commute_set.get((nid_a, wire))
         sb = dag.commute_set.get((nid_b, wire))
         if sa is None or sa != sb:
             return False
-        i, j = pos_on_wire[(nid_a, wire)], pos_on_wire[(nid_b, wire)]
+        i, j = dag.wire_pos[(nid_a, wire)], dag.wire_pos[(nid_b, wire)]
         if not _between_ok(dag, dag.wires[wire], min(i, j), max(i, j), gate):
             return False
     return True
-
-
-def move_1q_through_swap(dag: CircuitDag, swap_node: int) -> CircuitDag:
-    """Relocate the 1q gates immediately preceding a SWAP to just after it,
-    on the opposite wire.  Exact unitary identity; merging of the resulting
-    adjacent 1q runs is left to the merge pass."""
-    gate = dag.nodes[swap_node].gate
-    if gate.kind is not GateKind.SWAP:
-        raise ValueError("node is not a SWAP")
-    a, b = gate.qubits
-    other = {a: b, b: a}
-    moved: list[int] = []
-    for wire in (a, b):
-        nid = dag.prev_on_wire(swap_node, wire)
-        while nid is not None:
-            g = dag.nodes[nid].gate
-            if g.num_qubits != 1 or not g.is_unitary_gate():
-                break
-            moved.append(nid)
-            nid = dag.prev_on_wire(nid, wire)
-    moved_set = set(moved)
-    gates: list[Gate] = []
-    for nid in dag.order:
-        if nid in moved_set:
-            continue
-        gates.append(dag.nodes[nid].gate)
-        if nid == swap_node:
-            for m in sorted(moved):
-                g = dag.nodes[m].gate
-                gates.append(g.remapped({g.qubits[0]: other[g.qubits[0]]}))
-    return CircuitDag(dag.to_circuit().with_gates(gates))
 
 
 # -- router-facing predictors -------------------------------------------------
@@ -225,6 +184,15 @@ class DecompositionLabel:
     @staticmethod
     def none() -> "DecompositionLabel":
         return DecompositionLabel(None, "none")
+
+
+def last_non_1q(hist) -> int:
+    """Index of the newest entry that is not a unitary 1q gate (-1 if none);
+    the entries after it are the 1q gates just before the frontier."""
+    idx = len(hist) - 1
+    while idx >= 0 and hist[idx].gate.num_qubits == 1 and hist[idx].gate.is_unitary_gate():
+        idx -= 1
+    return idx
 
 
 def predict_ccommute1(dag, hist_a, hist_b, la, lb, pa, pb):
@@ -255,9 +223,7 @@ def _set_run(dag, hist, logical_wire):
     """Node ids of the trailing commute-set run on one wire, skipping the 1q
     gates just before the frontier.  Stops at inserted SWAPs and at anything
     without a set annotation on this wire."""
-    idx = len(hist) - 1
-    while idx >= 0 and hist[idx].gate.num_qubits == 1 and hist[idx].gate.is_unitary_gate():
-        idx -= 1
+    idx = last_non_1q(hist)
     if idx < 0:
         return []
     anchor = hist[idx]
@@ -311,9 +277,7 @@ def predict_ccommute2(dag, hist_a, hist_b, pa, pb):
 def _until_prev_swap(hist, pa, pb):
     """Entries (trailing 1q excluded) back to the previous inserted SWAP on
     exactly this pair; (middles, swap_entry) or (middles, None)."""
-    idx = len(hist) - 1
-    while idx >= 0 and hist[idx].gate.num_qubits == 1 and hist[idx].gate.is_unitary_gate():
-        idx -= 1
+    idx = last_non_1q(hist)
     middles = []
     scanned = 0
     while idx >= 0 and scanned < SEARCH_CAP:

@@ -1,15 +1,15 @@
 """Dependency DAG over circuit gates.
 
-A node per gate plus one input and one output sentinel per qubit.  An edge
-(i, j) exists exactly when gate j is the next user of one of gate i's qubits,
-so each qubit contributes a single path from its input sentinel to its output
-sentinel.  The DAG keeps the source gate order, which is always a valid
-topological order; passes do list surgery on that order and rebuild.
+A node per gate, numbered in source order.  Gate j depends on gate i exactly
+when j is the next user of one of i's qubits, so each qubit's gates form a
+single path (``wires[q]``).  The DAG keeps the source gate order, which is
+always a valid topological order; passes do list surgery on that order and
+rebuild.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit
 from .gates import Gate
@@ -17,61 +17,41 @@ from .gates import Gate
 
 @dataclass
 class DagNode:
-    node_id: int
-    gate: Gate | None  # None for sentinels
-    role: str = "gate"  # "gate" | "in" | "out"
-    wire: int | None = None  # sentinel wire
-
-    @property
-    def is_gate(self) -> bool:
-        return self.role == "gate"
+    gate: Gate  # the node id is the index in CircuitDag.nodes
 
 
 class CircuitDag:
     def __init__(self, circuit: Circuit):
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
-        self.nodes: list[DagNode] = []
+        self.nodes = [DagNode(gate) for gate in circuit.gates]
         self.wires: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
         # gate-node order (node ids in source order)
-        self.order: list[int] = []
+        self.order: list[int] = list(range(len(self.nodes)))
         # annotations written by the analysis passes
         self.block_id: dict[int, int] = {}
         self.block_cx: dict[int, int] = {}
         self.block_cx_with_swap: dict[int, int] = {}
         self.commute_set: dict[tuple[int, int], int] = {}
-        self.commute_members: dict[int, list[int]] = {}
 
-        for q in range(circuit.num_qubits):
-            self.nodes.append(DagNode(len(self.nodes), None, "in", q))
-        for gate in circuit.gates:
-            nid = len(self.nodes)
-            self.nodes.append(DagNode(nid, gate))
-            self.order.append(nid)
+        for nid, gate in enumerate(circuit.gates):
             for q in gate.qubits:
                 self.wires[q].append(nid)
-        for q in range(circuit.num_qubits):
-            self.nodes.append(DagNode(len(self.nodes), None, "out", q))
 
-        self._wire_pos: dict[tuple[int, int], int] = {}
+        # (node, qubit) -> position of the node on that qubit's wire
+        self.wire_pos: dict[tuple[int, int], int] = {}
         for q, wire in enumerate(self.wires):
             for pos, nid in enumerate(wire):
-                self._wire_pos[(nid, q)] = pos
+                self.wire_pos[(nid, q)] = pos
 
     # -- structure ---------------------------------------------------------
 
-    def gate_nodes(self) -> list[DagNode]:
-        return [self.nodes[i] for i in self.order]
-
-    def node_count(self) -> int:
-        return len(self.nodes)
-
     def predecessors(self, node_id: int) -> list[int]:
-        """Gate predecessors (one per wire, deduplicated, sentinels omitted)."""
+        """Gate predecessors (one per wire, deduplicated)."""
         node = self.nodes[node_id]
         preds = set()
         for q in node.gate.qubits:
-            pos = self._wire_pos[(node_id, q)]
+            pos = self.wire_pos[(node_id, q)]
             if pos > 0:
                 preds.add(self.wires[q][pos - 1])
         return sorted(preds)
@@ -80,25 +60,10 @@ class CircuitDag:
         node = self.nodes[node_id]
         succs = set()
         for q in node.gate.qubits:
-            pos = self._wire_pos[(node_id, q)]
+            pos = self.wire_pos[(node_id, q)]
             if pos + 1 < len(self.wires[q]):
                 succs.add(self.wires[q][pos + 1])
         return sorted(succs)
-
-    def prev_on_wire(self, node_id: int, wire: int) -> int | None:
-        pos = self._wire_pos[(node_id, wire)]
-        return self.wires[wire][pos - 1] if pos > 0 else None
-
-    def edges(self) -> set[tuple[int, int]]:
-        """All dependency edges, including sentinel edges."""
-        out: set[tuple[int, int]] = set()
-        in_base = 0
-        out_base = len(self.nodes) - self.num_qubits
-        for q, wire in enumerate(self.wires):
-            chain = [in_base + q] + wire + [out_base + q]
-            for a, b in zip(chain, chain[1:]):
-                out.add((a, b))
-        return out
 
     def to_circuit(self) -> Circuit:
         return Circuit(

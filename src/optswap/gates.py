@@ -11,7 +11,7 @@ first qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,10 +35,6 @@ class GateKind(Enum):
     BARRIER = "barrier"
 
 
-ONE_QUBIT_KINDS = frozenset(
-    {GateKind.ID, GateKind.X, GateKind.SX, GateKind.RZ, GateKind.H,
-     GateKind.Y, GateKind.Z, GateKind.U3}
-)
 TWO_QUBIT_KINDS = frozenset(
     {GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.CRX, GateKind.SWAP}
 )
@@ -112,6 +108,11 @@ def rz_matrix(theta: float) -> np.ndarray:
     )
 
 
+def rx_matrix(theta: float) -> np.ndarray:
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
 def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
@@ -157,15 +158,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     if k is GateKind.CZ:
         return _controlled(_FIXED_1Q[GateKind.Z])
     if k is GateKind.CRX:
-        t = gate.params[0]
-        rx = np.array(
-            [
-                [math.cos(t / 2), -1j * math.sin(t / 2)],
-                [-1j * math.sin(t / 2), math.cos(t / 2)],
-            ],
-            dtype=complex,
-        )
-        return _controlled(rx)
+        return _controlled(rx_matrix(gate.params[0]))
     raise GateError(f"{k.value} has no matrix")
 
 

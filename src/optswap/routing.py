@@ -22,6 +22,7 @@ from .commutation import (
     DecompositionLabel,
     commutation_analysis,
     commutative_cancellation,
+    last_non_1q,
     predict_ccommute1,
     predict_ccommute2,
 )
@@ -34,7 +35,6 @@ from .synthesis import (
     kak_synthesize,
     merge_1q_runs,
     min_cnot_count,
-    pair_unitary,
     predict_c2q,
 )
 from .topology import CouplingMap, all_pairs_distance, noise_distance
@@ -144,7 +144,8 @@ class RoutingResult:
 
 
 class _RouteState:
-    """Mutable routing state: emitted ops, per-wire histories, front layer."""
+    """Mutable routing state: emitted ops, per-wire histories (live ops only;
+    1q ops a SWAP moves leave their wire's history), front layer."""
 
     def __init__(self, dag: CircuitDag, cmap: CouplingMap, mapping: QubitMapping):
         self.dag = dag
@@ -195,15 +196,16 @@ class _RouteState:
                     self.emit_node(nid)
                     progressed = True
 
-    def live_hist(self, wire: int) -> list[RoutedOp]:
-        return [op for op in self.wire_hist[wire] if not op.deleted]
-
     def insert_swap(self, cand: SwapCandidate) -> None:
         u, v = cand.edge
         label = cand.label
         moved: list[RoutedOp] = []
         if label.rationale != "none":
-            moved = self._trailing_1q(u) + self._trailing_1q(v)
+            for wire in (u, v):
+                hist = self.wire_hist[wire]
+                start = last_non_1q(hist) + 1
+                moved += hist[start:]
+                del hist[start:]
             for op in moved:
                 op.deleted = True
             if cand.prev_swap_entry is not None:
@@ -224,16 +226,6 @@ class _RouteState:
             self.ops.append(relocated)
             self.wire_hist[other[q]].append(relocated)
         self.mapping.swap_physical(u, v)
-
-    def _trailing_1q(self, wire: int) -> list[RoutedOp]:
-        out: list[RoutedOp] = []
-        for op in reversed(self.wire_hist[wire]):
-            if op.deleted:
-                continue
-            if op.gate.num_qubits != 1 or not op.gate.is_unitary_gate():
-                break
-            out.append(op)
-        return out
 
     def unsatisfied_front(self) -> list[int]:
         return [nid for nid in self.front if not self.executable(nid)]
@@ -303,8 +295,8 @@ def _score_candidate(
         front_sum += dist[tentative(qa), tentative(qb)]
 
     if b2q or bc1 or bc2:
-        hist_u = state.live_hist(u)
-        hist_v = state.live_hist(v)
+        hist_u = state.wire_hist[u]
+        hist_v = state.wire_hist[v]
         if b2q:
             pred_u = hist_u[-1].node_id if hist_u else None
             pred_v = hist_v[-1].node_id if hist_v else None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
 
 import numpy as np
 
@@ -26,8 +25,11 @@ from .gates import (
     Gate,
     GateKind,
     SWAP_MATRIX,
+    _FIXED_1Q,
     gate_matrix,
     is_identity_up_to_phase,
+    rx_matrix,
+    rz_matrix,
     u3_gate_from_matrix,
 )
 
@@ -82,24 +84,7 @@ _Q_ONE_CNOT = np.array(
     [[-1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
 ) / math.sqrt(2)
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Magic-basis diagonals of XX, YY, ZZ (they are simultaneously diagonal there).
-_INTERACTION_DIAGS = np.column_stack(
-    [
-        np.real(np.diag(_EDAG @ np.kron(p, p) @ _E))
-        for p in (_PAULI_X, _PAULI_Y, _PAULI_Z)
-    ]
-)
-
 _W0, _W1 = 0, 1  # internal wire names; _W0 maps to the pair's second qubit
-
-
-def _rx(t):
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
 def _ry(t):
@@ -107,12 +92,7 @@ def _ry(t):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
-def _rz(t):
-    return np.array([[np.exp(-0.5j * t), 0], [0, np.exp(0.5j * t)]], dtype=complex)
-
-
 _S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
-_SX_MAT = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-9):
@@ -225,11 +205,13 @@ def _ops_1(u):
 def _ops_2(u):
     u_su4 = to_su4(u)
     evs = np.linalg.eigvals(_gamma(u_su4))
-    if np.allclose(np.sort(np.real(evs)), [-1, -1, 1, 1], atol=1e-7):
+    # a real spectrum is exactly {-1, -1, 1, 1} here (det 1, not local); near
+    # it, the angles below still resolve, but this template would not match
+    if np.max(np.abs(np.imag(evs))) < 1e-9:
         interior = [
             ("cx", _W1, _W0),
             ("1q", _W0, _S_MAT),
-            ("1q", _W1, _SX_MAT),
+            ("1q", _W1, _FIXED_1Q[GateKind.SX]),
             ("cx", _W1, _W0),
         ]
         inner = _S_SX
@@ -240,11 +222,11 @@ def _ops_2(u):
         delta, phi = (x + y) / 2, (x - y) / 2
         interior = [
             ("cx", _W1, _W0),
-            ("1q", _W0, _rz(delta)),
-            ("1q", _W1, _rx(phi)),
+            ("1q", _W0, rz_matrix(delta)),
+            ("1q", _W1, rx_matrix(phi)),
             ("cx", _W1, _W0),
         ]
-        inner = np.kron(_rz(delta), _rx(phi))
+        inner = np.kron(rz_matrix(delta), rx_matrix(phi))
     v = _CNOT10 @ inner @ _CNOT10
     a, b, c, d = _prefactors(u_su4, v)
     return (
@@ -261,7 +243,7 @@ def _ops_3(u):
     alpha, beta, delta = (x + y) / 2, (x + z) / 2, (z + y) / 2
     interior = [
         ("cx", _W1, _W0),
-        ("1q", _W0, _rz(delta)),
+        ("1q", _W0, rz_matrix(delta)),
         ("1q", _W1, _ry(beta)),
         ("cx", _W0, _W1),
         ("1q", _W1, _ry(alpha)),
@@ -270,7 +252,7 @@ def _ops_3(u):
     v = np.eye(4, dtype=complex)
     for mat in (
         _CNOT10,
-        np.kron(_rz(delta), _ry(beta)),
+        np.kron(rz_matrix(delta), _ry(beta)),
         _CNOT01,
         np.kron(np.eye(2), _ry(alpha)),
         _CNOT10,
@@ -395,124 +377,6 @@ def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     if abs(inner) < 1e-12:
         return float(np.max(np.abs(a - b)))
     return float(np.max(np.abs(a * (abs(inner) / inner) - b)))
-
-
-# -- Weyl chamber coordinates -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KakDecomposition:
-    pre_a: np.ndarray
-    pre_b: np.ndarray
-    post_a: np.ndarray
-    post_b: np.ndarray
-    weyl: tuple[float, float, float]
-    global_phase: float
-
-
-def _canonical_matrix(x: float, y: float, z: float) -> np.ndarray:
-    """exp(i (x XX + y YY + z ZZ)) via the magic-basis diagonalization."""
-    phases = _INTERACTION_DIAGS @ np.array([x, y, z])
-    return _E @ np.diag(np.exp(1j * phases)) @ _EDAG
-
-
-def _fold(c: float) -> float:
-    """Into (-pi/4, pi/4] modulo the pi/2 shift symmetry."""
-    c = (c + math.pi / 4) % (math.pi / 2) - math.pi / 4
-    return math.pi / 4 if np.isclose(c, -math.pi / 4, atol=1e-12) else c
-
-
-def _orbit(coords: tuple[float, float, float]) -> set[tuple[float, float, float]]:
-    seen: set[tuple[float, float, float]] = set()
-    frontier = [tuple(_fold(c) for c in coords)]
-    while frontier:
-        cur = frontier.pop()
-        key = tuple(round(c, 10) for c in cur)
-        if key in seen:
-            continue
-        seen.add(key)
-        x, y, z = cur
-        nxt = [p for p in permutations((x, y, z))]
-        nxt += [(-x, -y, z), (-x, y, -z), (x, -y, -z)]
-        for cand in nxt:
-            folded = tuple(_fold(c) for c in cand)
-            if tuple(round(c, 10) for c in folded) not in seen:
-                frontier.append(folded)
-    return seen
-
-
-def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
-    """Canonical interaction coefficients with pi/4 >= x >= y >= |z|."""
-    u = _check_unitary(u)
-    gamma = _gamma(to_su4(u))
-    measured = np.angle(np.linalg.eigvals(gamma)) / 2.0
-    raw = None
-    best = math.inf
-    for perm in permutations(range(4)):
-        theta = measured[list(perm)]
-        for shifts in product((-1.0, 0.0, 1.0), repeat=4):
-            target = theta + math.pi * np.array(shifts)
-            sol, res, _, _ = np.linalg.lstsq(_INTERACTION_DIAGS, target, rcond=None)
-            err = float(np.linalg.norm(_INTERACTION_DIAGS @ sol - target))
-            if err < best:
-                best, raw = err, tuple(float(v) for v in sol)
-            if best < 1e-9:
-                break
-        if best < 1e-9:
-            break
-    if raw is None or best > 1e-6:
-        raise SynthesisResidual("could not solve for interaction coefficients")
-    chamber = [
-        c
-        for c in _orbit(raw)
-        if c[0] >= c[1] - 1e-10
-        and c[1] >= abs(c[2]) - 1e-10
-        and c[0] <= math.pi / 4 + 1e-10
-    ]
-    if not chamber:
-        raise SynthesisResidual(f"no chamber representative for {raw}")
-    coords = max(chamber)
-    # Verify the representative is in the same local-equivalence class.  The
-    # SU(4) normalization is only fixed up to a 4th root of unity, which flips
-    # the sign of gamma, so compare spectra up to that sign (via characteristic
-    # polynomials, which have no branch-cut trouble).
-    evs_u = np.linalg.eigvals(gamma)
-    evs_n = np.linalg.eigvals(_gamma(to_su4(_canonical_matrix(*coords))))
-    if not any(
-        np.allclose(np.poly(evs_u), np.poly(sign * evs_n), atol=1e-6)
-        for sign in (1.0, -1.0)
-    ):
-        raise SynthesisResidual("chamber representative spectrum mismatch")
-    return tuple(0.0 if abs(c) < 1e-12 else float(c) for c in coords)
-
-
-def kak_decompose(u: np.ndarray) -> KakDecomposition:
-    """u = e^{i phase} (post_b (x) post_a) N(weyl) (pre_b (x) pre_a) in the pair frame."""
-    u = _check_unitary(u)
-    coords = weyl_coordinates(u)
-    n = _canonical_matrix(*coords)
-    u_su4 = to_su4(u)
-    rng = np.random.default_rng(0xCA11)
-    for attempt in range(24):
-        if attempt == 0:
-            la = lb = ra = rb = np.eye(2, dtype=complex)
-        else:
-            la, lb, ra, rb = (_random_local(rng) for _ in range(4))
-        dressed = np.kron(la, lb) @ u_su4 @ np.kron(ra, rb)
-        try:
-            a, b, c, d = _prefactors(to_su4(dressed), n)
-        except np.linalg.LinAlgError:
-            continue
-        post_b, post_a = la.conj().T @ a, lb.conj().T @ b
-        pre_b, pre_a = c @ ra.conj().T, d @ rb.conj().T
-        rebuilt = np.kron(post_b, post_a) @ n @ np.kron(pre_b, pre_a)
-        inner = np.trace(rebuilt.conj().T @ u)
-        if abs(inner) < 1e-12:
-            continue
-        phase = float(np.angle(inner))
-        if _phase_distance(rebuilt, u) < _TOL:
-            return KakDecomposition(pre_a, pre_b, post_a, post_b, coords, phase)
-    raise SynthesisResidual("could not extract local factors")
 
 
 # -- block collection ---------------------------------------------------------

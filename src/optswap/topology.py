@@ -12,7 +12,7 @@ import heapq
 import json
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

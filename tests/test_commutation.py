@@ -1,16 +1,10 @@
-import math
 from dataclasses import dataclass
-
-import numpy as np
-import pytest
 
 from optswap.circuit import Circuit
 from optswap.commutation import (
-    DecompositionLabel,
     commutation_analysis,
     commutative_cancellation,
     gates_commute,
-    move_1q_through_swap,
     predict_ccommute1,
     predict_ccommute2,
 )
@@ -180,41 +174,6 @@ def test_fixpoint_cascades():
     # removing the inner pair exposes the outer pair
     circ = Circuit(3, (cx(0, 1), cx(2, 1), cx(2, 1), cx(0, 1)))
     assert run_cancel(circ).gates == ()
-
-
-# -- moving 1q gates through a SWAP ---------------------------------------------
-
-
-def test_move_1q_through_swap_exact():
-    circ = Circuit(2, (u3(0), Gate(GateKind.SWAP, (0, 1))))
-    dag = build_dag(circ)
-    swap_node = dag.order[-1]
-    moved = move_1q_through_swap(dag, swap_node).to_circuit()
-    assert moved.gates[0].kind is GateKind.SWAP
-    assert moved.gates[1].qubits == (1,)
-    assert np.max(np.abs(circuit_unitary(moved) - circuit_unitary(circ))) < 1e-10
-
-
-def test_move_1q_nothing_to_move():
-    circ = Circuit(2, (cx(0, 1), Gate(GateKind.SWAP, (0, 1))))
-    dag = build_dag(circ)
-    moved = move_1q_through_swap(dag, dag.order[-1]).to_circuit()
-    assert moved.gates == circ.gates
-
-
-def test_move_1q_both_wires():
-    circ = Circuit(2, (u3(0, 0.1, 0.2, 0.3), u3(1, 0.4, 0.5, 0.6),
-                       Gate(GateKind.SWAP, (0, 1)), u3(1, 0.9, 0.8, 0.7)))
-    dag = build_dag(circ)
-    moved = move_1q_through_swap(dag, dag.order[2]).to_circuit()
-    assert moved.gates[0].kind is GateKind.SWAP
-    assert np.max(np.abs(circuit_unitary(moved) - circuit_unitary(circ))) < 1e-10
-
-
-def test_move_1q_requires_swap():
-    dag = build_dag(Circuit(2, (cx(0, 1),)))
-    with pytest.raises(ValueError):
-        move_1q_through_swap(dag, dag.order[0])
 
 
 # -- predictors -------------------------------------------------------------------

@@ -14,6 +14,7 @@ from optswap.routing import (
     RoutedOp,
     RouterConfig,
     RoutingError,
+    SwapCandidate,
     TooFewPhysicalQubits,
     _RouteState,
     _annotate_for_routing,
@@ -194,6 +195,70 @@ def test_decompose_swaps_orientations():
         u = circuit_unitary(Circuit(3, tuple(swap_ops)))
         expect = circuit_unitary(Circuit(3, (Gate(GateKind.SWAP, (1, 2)),)))
         assert np.max(np.abs(u - expect)) < 1e-12
+
+
+# -- moving 1q gates through an inserted SWAP ------------------------------------
+
+COMMUTE = DecompositionLabel(0, "commute1")
+SWAP01 = Gate(GateKind.SWAP, (0, 1))
+A0 = Gate(GateKind.U3, (0,), (0.1, 0.2, 0.3))
+B1 = Gate(GateKind.U3, (1,), (0.4, 0.5, 0.6))
+
+
+def swap_after(circuit, *labels):
+    """Emit a compliant circuit on a line, then insert SWAP(0, 1) per label."""
+    state = make_state(circuit, linear_map(circuit.num_qubits), annotate=False)
+    state.drain_front()
+    for label in labels:
+        state.insert_swap(SwapCandidate((0, 1), label=label))
+    return state
+
+
+def live_gates(state):
+    return [op.gate for op in state.ops if not op.deleted]
+
+
+def assert_same_unitary(state, circuit, swaps):
+    routed = Circuit(circuit.num_qubits, tuple(decompose_swaps(state.ops)))
+    expect = circuit.with_gates(circuit.gates + (SWAP01,) * swaps)
+    assert np.max(np.abs(circuit_unitary(routed) - circuit_unitary(expect))) < 1e-10
+
+
+def test_insert_swap_moves_1q_exactly():
+    circ = Circuit(2, (A0, cx(0, 1), A0))
+    state = swap_after(circ, COMMUTE)
+    moved = A0.remapped({0: 1})
+    assert live_gates(state) == [A0, cx(0, 1), SWAP01, moved]
+    assert [op.gate for op in state.wire_hist[0]] == [A0, cx(0, 1), SWAP01]
+    assert [op.gate for op in state.wire_hist[1]] == [cx(0, 1), SWAP01, moved]
+    assert_same_unitary(state, circ, 1)
+
+
+def test_insert_swap_moves_both_wires():
+    circ = Circuit(2, (cx(0, 1), A0, B1))
+    state = swap_after(circ, COMMUTE)
+    assert live_gates(state)[2:] == [A0.remapped({0: 1}), B1.remapped({1: 0})]
+    assert_same_unitary(state, circ, 1)
+    # a second SWAP moves the relocated ops back; no history keeps a moved op
+    state.insert_swap(SwapCandidate((0, 1), label=COMMUTE))
+    assert live_gates(state)[1:] == [SWAP01, SWAP01, A0, B1]
+    assert all(not op.deleted for hist in state.wire_hist for op in hist)
+    assert_same_unitary(state, circ, 2)
+
+
+def test_insert_swap_nothing_to_move():
+    circ = Circuit(2, (cx(0, 1),))
+    state = swap_after(circ, COMMUTE)
+    assert live_gates(state) == [cx(0, 1), SWAP01]
+    assert [op.gate for op in state.wire_hist[0]] == [cx(0, 1), SWAP01]
+
+
+def test_insert_swap_unlabeled_moves_nothing():
+    circ = Circuit(2, (cx(0, 1), A0))
+    state = swap_after(circ, DecompositionLabel.none())
+    assert live_gates(state) == [cx(0, 1), A0, SWAP01]
+    assert not any(op.deleted for op in state.ops)
+    assert_same_unitary(state, circ, 1)
 
 
 def test_full_pipeline_empty_circuit():

@@ -8,23 +8,19 @@ from optswap.dag import build_dag
 from optswap.gates import CX_MATRIX, SWAP_MATRIX, Gate, GateKind, gate_matrix
 from optswap.sim import circuit_unitary
 from optswap.synthesis import (
-    KakDecomposition,
     NotUnitary,
     annotate_block_costs,
     block_unitary,
     collect_blocks,
-    kak_decompose,
     kak_synthesize,
     merge_1q_runs,
     min_cnot_count,
     pair_unitary,
     predict_c2q,
-    to_su4,
-    weyl_coordinates,
-    _canonical_matrix,
 )
 
 from conftest import haar_unitary, phase_distance
+from weyl_oracle import canonical_matrix, weyl_coordinates
 
 PI4 = math.pi / 4
 
@@ -125,18 +121,18 @@ def test_weyl_consistent_with_min_cnot(rng):
         assert (count == 2) == (abs(z) < 1e-7)
 
 
-def test_kak_decompose_reassembles(rng):
-    for u in (CX_MATRIX, SWAP_MATRIX.astype(complex), haar_unitary(4, rng),
-              dressed_template(1, rng)):
-        kak = kak_decompose(u)
-        n = _canonical_matrix(*kak.weyl)
-        rebuilt = (
-            np.exp(1j * kak.global_phase)
-            * np.kron(kak.post_b, kak.post_a)
-            @ n
-            @ np.kron(kak.pre_b, kak.pre_a)
-        )
-        assert np.max(np.abs(rebuilt - u)) < 1e-8
+def test_kak_synthesize_near_two_cnot_boundary(rng):
+    """Unitaries at Weyl coordinates (pi/4, pi/4 - d, 0) need two CNOTs; for
+    small d their gamma spectrum is close to, but not exactly, {-1, -1, 1, 1},
+    which the fixed two-CNOT template for that spectrum cannot match."""
+    for d in np.logspace(-9, -2, 15):
+        core = canonical_matrix(PI4, PI4 - d, 0.0)
+        for _ in range(5):
+            u = (np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ core
+                 @ np.kron(haar_unitary(2, rng), haar_unitary(2, rng)))
+            circ = kak_synthesize(u, (0, 1))
+            assert circ.count(GateKind.CX) == min_cnot_count(u) == 2
+            assert phase_distance(pair_unitary(circ.gates, (0, 1)), u) < 1e-8
 
 
 # -- blocks -------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""The benchmark's tracer (perfbench/tracer.py) rebinds public functions of
+the routing, synthesis and commutation modules by name and wraps
+``CircuitDag.__init__``; a traced compile must keep working as those modules
+change."""
+
+from pathlib import Path
+
+from optswap import routing
+from optswap.bench import builtin_circuit
+from optswap.topology import grid_map
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_tracer_covers_a_routed_compile(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import Tracer
+
+    untraced = routing.full_pipeline
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cfg = routing.RouterConfig(algorithm=routing.NASSC, seed=0)
+        routing.full_pipeline(builtin_circuit("grover_n4"), grid_map(2, 3), cfg)
+    finally:
+        tracer.uninstall()
+    assert routing.full_pipeline is untraced
+    summary = tracer.summary()
+    assert summary["trace.coverage_min"] >= 0.95
+    assert summary["dag.builds"] > 0
+    assert summary["routing.route_iterations"] > 0
