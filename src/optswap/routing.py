@@ -8,6 +8,14 @@ plus a weighted extended-layer lookahead.  The optimization-aware router
 additionally subtracts the CNOTs the candidate SWAP is predicted to save via
 two-qubit block re-synthesis and the two commutation cancellations, and tags
 such SWAPs with the decomposition orientation those cancellations need.
+
+Distances are scored relatively, as in LightSABRE: once per iteration each
+layer (front and extended) is mapped to physical pairs, summed, and indexed
+by physical qubit; a candidate SWAP(u, v) then costs only the change on the
+gates that touch u or v.  Hop distances are integers, so these sums equal
+the direct ones exactly; noise-aware float distances may differ in the last
+bits.  The extended layer depends only on the DAG and the unsatisfied front,
+so it is recomputed only when that front changes.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ from .topology import CouplingMap, all_pairs_distance, noise_distance
 
 SABRE = "sabre"
 NASSC = "nassc"
+
+# Shared default: labels are frozen, so one instance serves every op.
+_NO_LABEL = DecompositionLabel.none()
 
 # Equal-cost candidates favor certain commute cancellations over speculative
 # block merges; the nudge is far below any real cost difference.
@@ -108,7 +119,7 @@ class SwapCandidate:
     c2q: int = 0
     ccommute1: int = 0
     ccommute2: int = 0
-    label: DecompositionLabel = field(default_factory=DecompositionLabel.none)
+    label: DecompositionLabel = _NO_LABEL
     prev_swap_entry: object | None = None
     cost: float = 0.0
 
@@ -118,7 +129,7 @@ class RoutedOp:
     gate: Gate
     node_id: int | None
     is_swap: bool = False
-    label: DecompositionLabel = field(default_factory=DecompositionLabel.none)
+    label: DecompositionLabel = _NO_LABEL
     deleted: bool = False
     seq: int = -1
 
@@ -151,6 +162,13 @@ class _RouteState:
         self.dag = dag
         self.cmap = cmap
         self.mapping = mapping
+        self.node_qubits = [node.gate.qubits for node in dag.nodes]
+        self.incident: list[list[tuple[int, int]]] = [
+            [] for _ in range(cmap.num_physical_qubits)
+        ]
+        for edge in cmap.sorted_edges():
+            for q in edge:
+                self.incident[q].append(edge)
         self.ops: list[RoutedOp] = []
         self.wire_hist: list[list[RoutedOp]] = [
             [] for _ in range(cmap.num_physical_qubits)
@@ -260,39 +278,61 @@ def enumerate_candidates(state: _RouteState, front_2q: list[int]) -> list[tuple[
     """Coupling edges incident to a physical qubit of an unsatisfied front gate."""
     if not front_2q:
         raise RoutingError("no unsatisfied front gate to route")
-    touched = set()
-    for nid in front_2q:
-        for q in state.dag.nodes[nid].gate.qubits:
-            touched.add(state.mapping.log_to_phys[q])
-    edges = [e for e in state.cmap.sorted_edges() if e[0] in touched or e[1] in touched]
-    return edges
+    l2p = state.mapping.log_to_phys
+    return sorted({
+        edge
+        for nid in front_2q
+        for q in state.node_qubits[nid]
+        for edge in state.incident[l2p[q]]
+    })
+
+
+class _Layer:
+    """Two-qubit gates of one iteration as physical pairs under the current
+    layout: their distance sum, and the pairs on each physical qubit."""
+
+    def __init__(self, state: _RouteState, nids: list[int], dist: list[list[float]]):
+        self.nids = nids
+        self.dist = dist
+        l2p = state.mapping.log_to_phys
+        self.total = 0.0
+        self.on: dict[int, list[tuple[int, int, float]]] = {}
+        for nid in nids:
+            qa, qb = state.node_qubits[nid]
+            pa, pb = l2p[qa], l2p[qb]
+            d = dist[pa][pb]
+            self.total += d
+            pair = (pa, pb, d)
+            self.on.setdefault(pa, []).append(pair)
+            self.on.setdefault(pb, []).append(pair)
+
+    def sum_after_swap(self, u: int, v: int) -> float:
+        """The layer's distance sum once SWAP(u, v) exchanges the two qubits;
+        each moved gate's distance is read in its own qubit order."""
+        dist = self.dist
+        delta = 0.0
+        for pa, pb, d in self.on.get(u, ()):
+            na = v if pa == u else u if pa == v else pa
+            nb = v if pb == u else u if pb == v else pb
+            delta += dist[na][nb] - d
+        for pa, pb, d in self.on.get(v, ()):
+            if pa == u or pb == u:
+                continue  # on both qubits: counted with u
+            delta += dist[u if pa == v else pa][u if pb == v else pb] - d
+        return self.total + delta
 
 
 def _score_candidate(
     state: _RouteState,
     edge: tuple[int, int],
-    front_2q: list[int],
-    extended: list[int],
-    dist: np.ndarray,
+    front: _Layer,
+    extended: _Layer,
     cfg: RouterConfig,
 ) -> SwapCandidate:
     u, v = edge
     b2q, bc1, bc2 = cfg.flags()
     cand = SwapCandidate(edge)
     mapping = state.mapping
-
-    def tentative(q: int) -> int:
-        p = mapping.log_to_phys[q]
-        if p == u:
-            return v
-        if p == v:
-            return u
-        return p
-
-    front_sum = 0.0
-    for nid in front_2q:
-        qa, qb = state.dag.nodes[nid].gate.qubits
-        front_sum += dist[tentative(qa), tentative(qb)]
 
     if b2q or bc1 or bc2:
         hist_u = state.wire_hist[u]
@@ -315,14 +355,11 @@ def _score_candidate(
                 cand.prev_swap_entry = prev
 
     reduction = cand.c2q + cand.ccommute1 + cand.ccommute2
-    basic = (3.0 * front_sum - reduction) / len(front_2q)
+    basic = (3.0 * front.sum_after_swap(u, v) - reduction) / len(front.nids)
     lookahead = 0.0
-    if extended:
-        ext_sum = 0.0
-        for nid in extended:
-            qa, qb = state.dag.nodes[nid].gate.qubits
-            ext_sum += dist[tentative(qa), tentative(qb)]
-        lookahead = cfg.extended_weight * ext_sum / len(extended)
+    if extended.nids:
+        lookahead = (cfg.extended_weight * extended.sum_after_swap(u, v)
+                     / len(extended.nids))
     cand.cost = basic + lookahead - _COMMUTE_TIEBREAK * (cand.ccommute1 + cand.ccommute2)
     return cand
 
@@ -337,11 +374,14 @@ def route(
 ) -> RouteOutcome:
     """Run the layered loop until every gate is emitted on coupled qubits."""
     state = _RouteState(dag, cmap, mapping)
+    rows = dist.tolist()
     outcome = RouteOutcome([], mapping)
     max_iter = 10 * cmap.num_physical_qubits * max(1, len(dag.order))
     stall_cap = max(8, 2 * cmap.num_physical_qubits)
     iterations = 0
     stall = 0
+    front_before: list[int] | None = None
+    extended: list[int] = []
     while True:
         resolved_before = len(state.resolved_nodes)
         state.drain_front()
@@ -358,12 +398,16 @@ def route(
         if stall > stall_cap:
             # cost-directed search is cycling through zero-progress SWAPs;
             # force the first front gate along a shortest path
-            outcome.swaps_inserted += _greedy_resolve(state, front_2q[0], dist)
+            outcome.swaps_inserted += _greedy_resolve(state, front_2q[0], rows)
             stall = 0
             continue
-        extended = state.extended_layer(front_2q, cfg.extended_size)
+        if front_2q != front_before:
+            extended = state.extended_layer(front_2q, cfg.extended_size)
+            front_before = front_2q
+        front_layer = _Layer(state, front_2q, rows)
+        ext_layer = _Layer(state, extended, rows)
         candidates = [
-            _score_candidate(state, edge, front_2q, extended, dist, cfg)
+            _score_candidate(state, edge, front_layer, ext_layer, cfg)
             for edge in enumerate_candidates(state, front_2q)
         ]
         best = min(c.cost for c in candidates)
@@ -380,14 +424,13 @@ def route(
     return outcome
 
 
-def _greedy_resolve(state: _RouteState, nid: int, dist: np.ndarray) -> int:
+def _greedy_resolve(state: _RouteState, nid: int, dist: list[list[float]]) -> int:
     """Walk one gate's first qubit along a shortest path until coupled."""
-    gate = state.dag.nodes[nid].gate
     inserted = 0
     while not state.executable(nid):
-        pa, pb = (state.mapping.log_to_phys[q] for q in gate.qubits)
+        pa, pb = (state.mapping.log_to_phys[q] for q in state.node_qubits[nid])
         step = min(
-            (n for n in state.cmap.neighbors(pa) if dist[n, pb] < dist[pa, pb]),
+            (n for n in state.cmap.neighbors(pa) if dist[n][pb] < dist[pa][pb]),
         )
         state.insert_swap(SwapCandidate((pa, step) if pa < step else (step, pa)))
         inserted += 1

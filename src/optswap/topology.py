@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -30,6 +31,10 @@ class DisconnectedGraph(TopologyError):
 
 
 class MissingEdgeData(TopologyError):
+    pass
+
+
+class InvalidEdgeWeight(TopologyError):
     pass
 
 
@@ -204,12 +209,21 @@ def load_noise_profile(path) -> NoiseProfile:
 
 def noise_distance(cmap: CouplingMap, profile: NoiseProfile) -> np.ndarray:
     """All-pairs shortest paths under per-edge weights
-    alpha1*error + alpha2*time + alpha3*hop."""
+    alpha1*error + alpha2*time + alpha3*hop.
+
+    Every weight must be positive and finite: Dijkstra needs nonnegative
+    weights, and the router's stall fallback needs each hop along a shortest
+    path to bring the qubits strictly closer.
+    """
     n = cmap.num_physical_qubits
     a1, a2, a3 = profile.alphas
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for a, b in cmap.sorted_edges():
         w = a1 * profile.edge_error(a, b) + a2 * profile.edge_time(a, b) + a3 * 1.0
+        if not (math.isfinite(w) and w > 0):
+            raise InvalidEdgeWeight(
+                f"edge ({a},{b}) has weight {w}; weights must be positive and finite"
+            )
         adj[a].append((b, w))
         adj[b].append((a, w))
     dist = np.full((n, n), np.inf)

@@ -7,6 +7,7 @@ from optswap.circuit import Circuit, metrics
 from optswap.commutation import DecompositionLabel
 from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
+from optswap import routing
 from optswap.routing import (
     NASSC,
     SABRE,
@@ -16,6 +17,8 @@ from optswap.routing import (
     RoutingError,
     SwapCandidate,
     TooFewPhysicalQubits,
+    _greedy_resolve,
+    _Layer,
     _RouteState,
     _annotate_for_routing,
     _score_candidate,
@@ -29,9 +32,10 @@ from optswap.routing import (
     route,
 )
 from optswap.sim import circuit_unitary, equivalent_up_to_permutation
-from optswap.topology import grid_map, linear_map, montreal_map
+from optswap.topology import NoiseProfile, grid_map, linear_map, montreal_map
 
 from conftest import phase_distance
+from direct_score import direct_score
 
 
 def cx(a, b):
@@ -58,6 +62,11 @@ def make_state(circuit, cmap, mapping=None, annotate=True):
     n = cmap.num_physical_qubits
     mapping = mapping or QubitMapping(list(range(n)))
     return _RouteState(dag, cmap, mapping)
+
+
+def layers(state, front, ext, dist):
+    rows = dist.tolist()
+    return _Layer(state, front, rows), _Layer(state, ext, rows)
 
 
 def test_qubit_mapping_invariants():
@@ -95,7 +104,7 @@ def test_cost_degenerate_distance_only():
     state.drain_front()
     front = state.unsatisfied_front()
     dist = distance_matrix_for(cmap, cfg)
-    cand = _score_candidate(state, (0, 1), front, [], dist, cfg)
+    cand = _score_candidate(state, (0, 1), *layers(state, front, [], dist), cfg)
     assert cand.cost == pytest.approx(6.0)  # 3 * distance(1, 3)
 
 
@@ -110,8 +119,8 @@ def test_cost_fig1_block_merge_wins():
     front = state.unsatisfied_front()
     dist = distance_matrix_for(cmap, cfg)
     ext = state.extended_layer(front, cfg.extended_size)
-    merge = _score_candidate(state, (0, 1), front, ext, dist, cfg)
-    other = _score_candidate(state, (1, 2), front, ext, dist, cfg)
+    merge = _score_candidate(state, (0, 1), *layers(state, front, ext, dist), cfg)
+    other = _score_candidate(state, (1, 2), *layers(state, front, ext, dist), cfg)
     assert merge.c2q == 2
     assert merge.cost < other.cost
 
@@ -127,8 +136,8 @@ def test_cost_fig4_commute_cancellation_wins():
     assert [state.dag.nodes[n].gate for n in front] == [cx(0, 2)]
     dist = distance_matrix_for(cmap, cfg)
     ext = state.extended_layer(front, cfg.extended_size)
-    commute_cand = _score_candidate(state, (1, 2), front, ext, dist, cfg)
-    block_cand = _score_candidate(state, (0, 1), front, ext, dist, cfg)
+    commute_cand = _score_candidate(state, (1, 2), *layers(state, front, ext, dist), cfg)
+    block_cand = _score_candidate(state, (0, 1), *layers(state, front, ext, dist), cfg)
     assert commute_cand.ccommute1 == 2
     assert commute_cand.label.control_phys == 2
     assert block_cand.c2q == 2
@@ -144,6 +153,136 @@ def test_extended_layer_orders_and_caps():
     ext20 = state.extended_layer(front, 20)
     gates = [state.dag.nodes[n].gate for n in ext20]
     assert gates == [crx(0.4, 1, 2), cx(0, 1)]
+
+
+# -- relative scoring against the direct sum ------------------------------------
+
+
+def random_circuit(rng, n, n_2q, n_1q):
+    gates = [cx(*(int(q) for q in rng.choice(n, 2, replace=False))) for _ in range(n_2q)]
+    for _ in range(n_1q):
+        gates.insert(int(rng.integers(len(gates) + 1)), u3(int(rng.integers(n))))
+    for i in rng.choice(len(gates), len(gates) // 5, replace=False):
+        if gates[i].kind is GateKind.CX:
+            gates[i] = crx(float(rng.uniform(0.1, 3.0)), *gates[i].qubits)
+    return Circuit(n, tuple(gates))
+
+
+def random_noise(cmap, rng):
+    edges = cmap.sorted_edges()
+    return NoiseProfile({e: float(rng.uniform(0.005, 0.04)) for e in edges},
+                        {e: float(rng.uniform(0.5, 2.0)) for e in edges})
+
+
+def compare_scores(circuit, cmap, cfg, rng, steps, tol):
+    """Walk seeded random routing states; at each, enumerate the candidates
+    and score every one both ways.  Returns the largest extended layer seen."""
+    dist = distance_matrix_for(cmap, cfg)
+    n = cmap.num_physical_qubits
+    mapping = QubitMapping([int(p) for p in rng.permutation(n)])
+    state = make_state(circuit, cmap, mapping)
+    widest = 0
+    for _ in range(steps):
+        state.drain_front()
+        if not state.front:
+            break
+        front = state.unsatisfied_front()
+        ext = state.extended_layer(front, cfg.extended_size)
+        widest = max(widest, len(ext))
+        front_layer, ext_layer = layers(state, front, ext, dist)
+        touched = {state.mapping.log_to_phys[q]
+                   for nid in front for q in state.dag.nodes[nid].gate.qubits}
+        edges = enumerate_candidates(state, front)
+        assert edges == [e for e in cmap.sorted_edges() if touched & set(e)]
+        cands = []
+        for edge in edges:
+            ref = direct_score(state, edge, front, ext, dist, cfg)
+            cand = _score_candidate(state, edge, front_layer, ext_layer, cfg)
+            if tol == 0:
+                assert cand.cost == ref.cost, edge
+            else:
+                assert abs(cand.cost - ref.cost) <= tol, edge
+            assert (cand.c2q, cand.ccommute1, cand.ccommute2, cand.label) == (
+                ref.c2q, ref.ccommute1, ref.ccommute2, ref.label)
+            assert cand.prev_swap_entry is ref.prev_swap_entry
+            cands.append(cand)
+        # alternate the best candidate with a random one to reach varied states
+        if rng.random() < 0.5:
+            choice = min(cands, key=lambda c: c.cost)
+        else:
+            choice = cands[int(rng.integers(len(cands)))]
+        state.insert_swap(choice)
+    return widest
+
+
+@pytest.mark.parametrize("algorithm", [SABRE, NASSC])
+@pytest.mark.parametrize("extended_size", [0, 20])
+@pytest.mark.parametrize("device", ["montreal", "grid88", "noisy_grid25"])
+def test_relative_score_matches_direct_sum(device, extended_size, algorithm):
+    for seed in range(2):
+        rng = np.random.default_rng([seed, extended_size])
+        if device == "montreal":
+            cmap, noise, tol = montreal_map(), None, 0.0
+            circ = random_circuit(rng, 27, 60, 40)
+        elif device == "grid88":
+            cmap, noise, tol = grid_map(8, 8), None, 0.0
+            circ = random_circuit(rng, 64, 80, 40)
+        else:
+            cmap, tol = grid_map(2, 5), 1e-12
+            noise = random_noise(cmap, rng)
+            circ = random_circuit(rng, 10, 60, 30)
+        cfg = RouterConfig(algorithm=algorithm, extended_size=extended_size,
+                           noise_profile=noise)
+        widest = compare_scores(circ, cmap, cfg, rng, steps=40, tol=tol)
+        assert widest == extended_size  # the layer was empty, or reached its cap
+
+
+def test_route_reuses_extended_layer_only_while_front_is_unchanged(monkeypatch):
+    fresh_extended = _RouteState.extended_layer
+    computed = []
+
+    def counting(self, front_2q, cap):
+        computed.append(list(front_2q))
+        return fresh_extended(self, front_2q, cap)
+
+    score = routing._score_candidate
+    scored: list = []  # the front layer of each scored iteration
+
+    def checked(state, edge, front, extended, cfg):
+        if not scored or scored[-1] is not front:
+            scored.append(front)
+            assert extended.nids == fresh_extended(state, front.nids, cfg.extended_size)
+            fresh = _Layer(state, extended.nids, front.dist)
+            assert (extended.total, extended.on) == (fresh.total, fresh.on)
+        return score(state, edge, front, extended, cfg)
+
+    monkeypatch.setattr(_RouteState, "extended_layer", counting)
+    monkeypatch.setattr(routing, "_score_candidate", checked)
+    cmap = grid_map(8, 8)
+    rng = np.random.default_rng(5)
+    circ = random_circuit(rng, 64, 80, 0)
+    for algorithm in (SABRE, NASSC):
+        cfg = RouterConfig(algorithm=algorithm)
+        mapping = QubitMapping([int(p) for p in rng.permutation(64)])
+        route(_annotate_for_routing(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+              mapping, np.random.default_rng(0))
+    assert 0 < len(computed) < len(scored)
+    # consecutive recomputations are for different fronts
+    assert all(a != b for a, b in zip(computed, computed[1:]))
+
+
+def test_greedy_resolve_walks_gate_onto_a_coupling():
+    cmap = linear_map(5)
+    state = make_state(Circuit(5, (cx(0, 4),)), cmap, annotate=False)
+    state.drain_front()
+    (nid,) = state.unsatisfied_front()
+    dist = distance_matrix_for(cmap, RouterConfig()).tolist()
+    assert _greedy_resolve(state, nid, dist) == 3
+    assert state.executable(nid)
+    assert [op.gate.qubits for op in state.ops if op.is_swap] == [(0, 1), (1, 2), (2, 3)]
+    mapping = state.mapping
+    assert sorted(mapping.log_to_phys) == list(range(5))
+    assert all(mapping.phys_to_log[p] == q for q, p in enumerate(mapping.log_to_phys))
 
 
 def test_initial_mapping_deterministic():

@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from optswap.circuit import Circuit
+from optswap.gates import Gate, GateKind
+from optswap.routing import RouterConfig, full_pipeline
 from optswap.topology import (
     CouplingMap,
     DisconnectedGraph,
+    InvalidEdgeWeight,
     InvalidSize,
     MissingEdgeData,
     NoiseProfile,
@@ -129,6 +133,29 @@ def test_noise_prefers_cheap_detour():
     )
     d = noise_distance(cmap, prof)
     assert np.isclose(d[0, 2], 1.0)  # via qubit 1, not the noisy edge
+
+
+@pytest.mark.parametrize("cx_error, alphas", [
+    (0.0, (1.0, 0.0, 0.0)),  # zero weight
+    (-0.2, (1.0, 0.0, 0.1)),  # negative weight
+    (float("inf"), (0.5, 0.0, 0.5)),
+    (float("nan"), (0.5, 0.0, 0.5)),
+])
+def test_noise_distance_rejects_nonpositive_or_nonfinite_weights(cx_error, alphas):
+    cmap = linear_map(5)
+    prof = NoiseProfile.uniform(cmap, cx_error=cx_error, alphas=alphas)
+    with pytest.raises(InvalidEdgeWeight):
+        noise_distance(cmap, prof)
+
+
+def test_zero_weight_noise_fails_typed_before_routing():
+    # with every distance 0 the stall fallback found no closer neighbour and
+    # failed with an untyped ValueError from min() (this circuit, seed 3)
+    cmap = linear_map(5)
+    ring = Circuit(5, tuple(Gate(GateKind.CX, (i, (i + 2) % 5)) for i in range(5)))
+    prof = NoiseProfile.uniform(cmap, cx_error=0.0, alphas=(1.0, 0.0, 0.0))
+    with pytest.raises(InvalidEdgeWeight):
+        full_pipeline(ring, cmap, RouterConfig(seed=3, noise_profile=prof))
 
 
 def test_missing_edge_data():
