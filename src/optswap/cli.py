@@ -119,7 +119,7 @@ def main(argv=None) -> int:
             return _verify(args)
         return _bench(args)
     except Exception as exc:  # surface module errors as exit codes
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,15 @@
 """Commutation analysis, commutative cancellation, and the router's
 cancellation predictors.
 
-Whether two gates commute is decided numerically: embed both on their joint
-support and compare the two products (a handful of structural fast paths
-short-circuit the common cases).  Per wire, gates are grouped greedily into
-contiguous commute sets; a gate joins the current set only if it commutes
-with every member among the first twenty (larger sets are searched no deeper
-than that, so cancellation re-verifies the stretch between a candidate pair).
+Whether two gates commute is decided numerically: build both gates' matrices
+on their joint support (at most three wires) straight from ``gate_matrix``,
+as a Kronecker product with the identity on the other wires put into wire
+order by one axis permutation, and compare the two products (a handful of
+structural fast paths short-circuit the common cases).  Per wire, gates are
+grouped greedily into contiguous commute sets; a gate joins the current set
+only if it commutes with every member among the first twenty (larger sets
+are searched no deeper than that, so cancellation re-verifies the stretch
+between a candidate pair).
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dag import CircuitDag
-from .gates import Gate, GateKind, SELF_INVERSE_KINDS
-from .sim import apply_gate
+from .gates import Gate, GateKind, SELF_INVERSE_KINDS, gate_matrix, kron
 
 SEARCH_CAP = 20
 
@@ -27,12 +29,14 @@ _CONTROLLED = {GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.CRX}
 
 def _embedded(kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...],
               n: int) -> np.ndarray:
-    gate = Gate(kind, qubits, params)
-    dim = 2**n
-    u = np.eye(dim, dtype=complex)
-    for col in range(dim):
-        u[:, col] = apply_gate(np.ascontiguousarray(u[:, col]), gate, n)
-    return u
+    """The gate's matrix on wires 0..n-1 (little-endian)."""
+    full = kron(gate_matrix(Gate(kind, qubits, params)), np.eye(2 ** (n - len(qubits))))
+    # as a (2,)*2n tensor, axis i of `full` (most significant first) is wire
+    # order[i]: the gate's own wires, last listed first, then the others
+    order = qubits[::-1] + tuple(w for w in range(n - 1, -1, -1) if w not in qubits)
+    axes = [order.index(w) for w in range(n - 1, -1, -1)]
+    tensor = full.reshape((2,) * (2 * n)).transpose(axes + [a + n for a in axes])
+    return tensor.reshape(2**n, 2**n)
 
 
 @lru_cache(maxsize=65536)

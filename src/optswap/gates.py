@@ -188,7 +188,25 @@ def u3_gate_from_matrix(m: np.ndarray, qubit: int) -> Gate:
     return Gate(GateKind.U3, (qubit,), (theta, phi, lam))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same elementwise products (so the
+    same bits, signed zeros included) without its generic shape handling,
+    which costs several times the product itself on 2x2 factors."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
+def allclose(a, b, atol: float) -> bool:
+    """``np.allclose(a, b, atol=atol)`` with its default rtol of 1e-5, for
+    arrays or numpy scalars.  Entry by entry it makes numpy's comparison,
+    ``|a - b| <= atol + rtol * |b|``, and skips numpy's handling of an
+    infinite b, so the two agree whenever b holds no infinity (every caller
+    passes a finite reference)."""
+    return bool((abs(a - b) <= atol + 1e-5 * abs(b)).all())
+
+
 def is_identity_up_to_phase(m: np.ndarray, tol: float = 1e-10) -> bool:
     if abs(abs(m[0, 0]) - 1.0) > tol:
         return False
-    return bool(np.allclose(m / m[0, 0], np.eye(m.shape[0]), atol=tol))
+    return allclose(m / m[0, 0], np.eye(m.shape[0]), tol)

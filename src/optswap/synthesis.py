@@ -26,8 +26,10 @@ from .gates import (
     GateKind,
     SWAP_MATRIX,
     _FIXED_1Q,
+    allclose,
     gate_matrix,
     is_identity_up_to_phase,
+    kron,
     rx_matrix,
     rz_matrix,
     u3_gate_from_matrix,
@@ -84,6 +86,8 @@ _Q_ONE_CNOT = np.array(
     [[-1, 0, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=complex
 ) / math.sqrt(2)
 
+_I2, _I4 = np.eye(2), np.eye(4)
+
 _W0, _W1 = 0, 1  # internal wire names; _W0 maps to the pair's second qubit
 
 
@@ -97,7 +101,7 @@ _S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-9):
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not np.allclose(u @ u.conj().T, np.eye(4), atol=tol):
+    if u.shape != (4, 4) or not allclose(u @ u.conj().T, _I4, tol):
         raise NotUnitary("expected a 4x4 unitary matrix")
     return u
 
@@ -144,7 +148,7 @@ def _su2su2_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c3, c4 = u[2:4, 0:2], u[2:4, 2:4]
     a1 = np.sqrt(complex((c1 @ c4.conj().T)[0, 0]))
     a2 = np.sqrt(complex(-(c2 @ c3.conj().T)[0, 0]))
-    if not np.isclose(a1 * np.conj(a2), (c1 @ c2.conj().T)[0, 0], atol=1e-8):
+    if not allclose(a1 * np.conj(a2), (c1 @ c2.conj().T)[0, 0], 1e-8):
         a2 = -a2
     a = np.array([[a1, a2], [-np.conj(a2), np.conj(a1)]], dtype=complex)
     if abs(a[0, 0]) > 1e-6:
@@ -217,7 +221,7 @@ def _ops_2(u):
         inner = _S_SX
     else:
         x, y = np.angle(evs[0]), np.angle(evs[1])
-        if np.isclose(x, -y, atol=1e-10):
+        if allclose(x, -y, 1e-10):
             y = np.angle(evs[2])
         delta, phi = (x + y) / 2, (x - y) / 2
         interior = [
@@ -226,7 +230,7 @@ def _ops_2(u):
             ("1q", _W1, rx_matrix(phi)),
             ("cx", _W1, _W0),
         ]
-        inner = np.kron(rz_matrix(delta), rx_matrix(phi))
+        inner = kron(rz_matrix(delta), rx_matrix(phi))
     v = _CNOT10 @ inner @ _CNOT10
     a, b, c, d = _prefactors(u_su4, v)
     return (
@@ -252,9 +256,9 @@ def _ops_3(u):
     v = np.eye(4, dtype=complex)
     for mat in (
         _CNOT10,
-        np.kron(rz_matrix(delta), _ry(beta)),
+        kron(rz_matrix(delta), _ry(beta)),
         _CNOT01,
-        np.kron(np.eye(2), _ry(alpha)),
+        kron(_I2, _ry(alpha)),
         _CNOT10,
         _SWAP4,
     ):
@@ -311,7 +315,7 @@ def pair_unitary(gates, pair: tuple[int, int]) -> np.ndarray:
     for g in gates:
         m = gate_matrix(g)
         if g.num_qubits == 1:
-            m4 = np.kron(np.eye(2), m) if g.qubits[0] == a else np.kron(m, np.eye(2))
+            m4 = kron(_I2, m) if g.qubits[0] == a else kron(m, _I2)
         elif g.qubits == (a, b):
             m4 = m
         elif g.qubits == (b, a):
@@ -343,7 +347,7 @@ def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None 
         else:
             la, lb = _random_local(rng), _random_local(rng)
             ra, rb = _random_local(rng), _random_local(rng)
-            left, right = np.kron(la, lb), np.kron(ra, rb)
+            left, right = kron(la, lb), kron(ra, rb)
             target = left @ u @ right
         try:
             if count == 3 and min_cnot_count(target @ _SWAP4) == 0:

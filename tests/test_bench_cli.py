@@ -199,11 +199,13 @@ def test_cli_bench(tmp_path):
     assert len(lines) == 4
 
 
-def test_cli_errors_are_exit_codes(tmp_path):
+def test_cli_errors_are_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.qasm"
     assert main(["route", "--in", str(missing), "--coupling", "linear(3)",
                  "--out", str(tmp_path / "x.qasm")]) == 2
+    assert "error: FileNotFoundError: " in capsys.readouterr().err
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; frobnicate q[0];")
     assert main(["route", "--in", str(bad), "--coupling", "linear(3)",
                  "--out", str(tmp_path / "x.qasm")]) == 2
+    assert "error: UnsupportedGate: line 1: " in capsys.readouterr().err

@@ -1,7 +1,12 @@
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from optswap.circuit import Circuit
 from optswap.commutation import (
+    _commute_key,
+    _embedded,
     commutation_analysis,
     commutative_cancellation,
     gates_commute,
@@ -9,10 +14,11 @@ from optswap.commutation import (
     predict_ccommute2,
 )
 from optswap.dag import build_dag
-from optswap.gates import Gate, GateKind
+from optswap.gates import _PARAM_ARITY, Gate, GateKind
 from optswap.sim import circuit_unitary
 
 from conftest import phase_distance
+from embed_reference import reference_commute, simulated_embedding
 
 
 def cx(a, b):
@@ -28,6 +34,69 @@ def u3(q, a=0.3, b=0.5, c=0.7):
 
 
 # -- gates_commute --------------------------------------------------------------
+
+_ONE_Q = (GateKind.ID, GateKind.X, GateKind.Y, GateKind.Z, GateKind.H,
+          GateKind.SX, GateKind.RZ, GateKind.U3)
+_TWO_Q = (GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.CRX, GateKind.SWAP)
+
+
+def _random_params(kind, rng, tiny=False):
+    """Seeded angles; `tiny` draws magnitudes of 1e-10..1e-8, next to the
+    commutator threshold of 1e-9."""
+    count = _PARAM_ARITY.get(kind, 0)
+    if tiny:
+        return tuple(float(rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -8))
+                     for _ in range(count))
+    return tuple(float(rng.uniform(-np.pi, np.pi)) for _ in range(count))
+
+
+def _placements(kind, n):
+    return itertools.permutations(range(n), 2 if kind in _TWO_Q else 1)
+
+
+def test_embedding_equals_simulated_columns(rng):
+    """Every gate kind, on every placement of 1..3 wires."""
+    checked = 0
+    for n in (1, 2, 3):
+        for kind in _ONE_Q + _TWO_Q:
+            for qubits in _placements(kind, n):
+                for _ in range(3):
+                    params = _random_params(kind, rng)
+                    got = _embedded(kind, qubits, params, n)
+                    want = simulated_embedding(kind, qubits, params, n)
+                    assert got.shape == want.shape == (2**n, 2**n)
+                    assert np.array_equal(got, want), (kind, qubits, n)
+                    checked += 1
+    assert checked == 3 * (8 * (1 + 2 + 3) + 5 * (2 + 6))
+
+
+def test_commute_key_matches_simulated_reference(rng):
+    """Random pairs, with angles both generic and near the 1e-9 commutator
+    threshold, then CRX/RZ against X, CX and CRX at angles that straddle it."""
+    kinds = _ONE_Q + _TWO_Q
+    cases = []
+    for trial in range(600):
+        n = int(rng.integers(1, 4))
+        case = []
+        for _ in range(2):
+            options = [k for k in kinds if n >= (2 if k in _TWO_Q else 1)]
+            kind = options[int(rng.integers(len(options)))]
+            qubits = tuple(int(q) for q in rng.permutation(n)[: 2 if kind in _TWO_Q else 1])
+            case += [kind, qubits, _random_params(kind, rng, tiny=trial % 2 == 1)]
+        cases.append(tuple(case) + (n,))
+    near = []
+    for angle in (1e-10, 5e-10, 1e-9, 2e-9, 1e-8):
+        for first in ((GateKind.CRX, (0, 1), (angle,)), (GateKind.RZ, (1,), (angle,))):
+            for second in ((GateKind.X, (1,), ()), (GateKind.CX, (1, 2), ()),
+                           (GateKind.CRX, (2, 1), (angle,))):
+                near.append(first + second + (3,))
+    for group in (cases, near):
+        decisions = set()
+        for case in group:
+            want = reference_commute(*case)
+            assert _commute_key(*case) == want, case
+            decisions.add(want)
+        assert decisions == {True, False}
 
 
 def test_shared_target_cx_commute():

@@ -9,8 +9,10 @@ from optswap.gates import (
     GateError,
     CX_MATRIX,
     SWAP_MATRIX,
+    allclose,
     gate_matrix,
     is_identity_up_to_phase,
+    kron,
     u3_matrix,
     u3_params,
 )
@@ -65,6 +67,67 @@ def test_u3_params_handles_diagonal_and_antidiagonal():
 def test_identity_detection():
     assert is_identity_up_to_phase(np.exp(0.3j) * np.eye(2))
     assert not is_identity_up_to_phase(gate_matrix(Gate(GateKind.X, (0,))))
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def test_kron_is_bitwise_numpy_kron(rng):
+    signed_zeros = np.array([[0.0, -0.0], [-0.0 - 0.0j, 0.0 - 0.0j]])
+    for trial in range(300):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if trial % 3 == 1:
+            a = np.where(rng.random((2, 2)) < 0.5, signed_zeros, a)
+        if trial % 3 == 2:
+            a = np.eye(2)  # a real factor, as pair_unitary passes
+            b = np.where(rng.random((2, 2)) < 0.5, signed_zeros, b)
+        assert _same_bits(kron(a, b), np.kron(a, b))
+        assert _same_bits(kron(b, a), np.kron(b, a))
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for eye in (np.eye(1), np.eye(2)):
+        assert _same_bits(kron(m, eye), np.kron(m, eye))
+
+
+def test_allclose_agrees_with_numpy(rng):
+    def agree(a, b, atol):
+        got = allclose(a, b, atol)
+        assert got == np.allclose(a, b, atol=atol)
+        return got
+
+    outcomes = set()
+    for _ in range(400):
+        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        atol = 10.0 ** rng.uniform(-12, -6)
+        noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        outcomes.add(agree(b + noise * atol * rng.uniform(0, 2), b, atol))
+    assert outcomes == {True, False}
+
+    for b in (np.eye(4), np.diag([1, 1j, -1, 1e3]) + 0.5):
+        atol = 1e-9
+        for i, j in ((0, 0), (3, 3), (0, 1), (2, 0)):  # diagonal and off it
+            bound = atol + 1e-5 * abs(b[i, j])
+            for scale, close in ((0.999, True), (1.001, False)):
+                for step in (bound * scale, -1j * bound * scale):
+                    a = b.astype(complex)
+                    a[i, j] += step
+                    assert agree(a, b, atol) is close
+            for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+                a = b.astype(complex)
+                a[i, j] = bad
+                assert agree(a, b, atol) is False
+                if bad is np.nan:
+                    assert agree(b, a, atol) is False
+
+    x = np.float64(0.25)
+    for y, atol in ((x + 1e-10, 1e-10), (x + 2e-10, 1e-10), (x + 3e-6, 0.0)):
+        assert allclose(x, np.float64(y), atol) == np.isclose(x, y, atol=atol)
+    z = np.complex128(0.6 - 0.8j)
+    for w in (z + 1e-8, z + 2e-8 * 1j, z * np.exp(1e-7j), np.complex128(np.nan)):
+        assert allclose(z, w, 1e-8) == np.isclose(z, w, atol=1e-8)
 
 
 def test_gate_validation():

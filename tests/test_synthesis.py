@@ -52,6 +52,20 @@ def test_min_cnot_rejects_non_unitary():
         min_cnot_count(np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("check", [min_cnot_count, lambda u: kak_synthesize(u, (0, 1))],
+                         ids=["min_cnot_count", "kak_synthesize"])
+def test_rejects_wrong_shape_and_near_unitary(check, rng):
+    for wrong_shape in (np.eye(2), np.eye(3), np.eye(8)):
+        with pytest.raises(NotUnitary):
+            check(wrong_shape)
+    u = haar_unitary(4, rng)
+    off = np.eye(4, dtype=complex)
+    off[0, 2] = 1e-6  # u u^dagger is 1e-6 off the identity, off its diagonal
+    with pytest.raises(NotUnitary):
+        check(off @ u)
+    check(u)
+
+
 def test_min_cnot_matches_template_oracle(rng):
     for trial in range(120):
         k = trial % 3

@@ -29,3 +29,6 @@ def test_tracer_covers_a_routed_compile(monkeypatch):
     assert summary["trace.coverage_min"] >= 0.95
     assert summary["dag.builds"] > 0
     assert summary["routing.route_iterations"] > 0
+    # these count calls made through the module globals the tracer rebinds
+    assert summary["commutation.gates_commute_calls"] > 0
+    assert summary["synthesis.min_cnot_count_calls"] > 0
