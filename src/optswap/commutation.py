@@ -10,6 +10,13 @@ grouped greedily into contiguous commute sets; a gate joins the current set
 only if it commutes with every member among the first twenty (larger sets
 are searched no deeper than that, so cancellation re-verifies the stretch
 between a candidate pair).
+
+Within one compile the membership decisions are memoized
+(``memo.CompileMemo.commute``), keyed on the pair of ``Gate`` values
+(new gate, set member).  Passes carry untouched gates through unchanged, so
+the same pairs come back in every cancellation round, every optimization
+round and both routing annotations.  The process-wide ``_commute_key``
+cache below stays as it is.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 
 from .dag import CircuitDag
 from .gates import Gate, GateKind, SELF_INVERSE_KINDS, gate_matrix, kron
+from .memo import CompileMemo
 
 SEARCH_CAP = 20
 
@@ -79,12 +87,15 @@ def gates_commute(g1: Gate, g2: Gate) -> bool:
     return _commute_key(g1.kind, key1, p1, g2.kind, key2, p2, len(wires))
 
 
-def commutation_analysis(dag: CircuitDag) -> None:
+def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> None:
     """Group contiguous commuting gates per wire into ``dag.commute_set``,
     the (node, wire) -> set_id map.  Non-unitary nodes form singleton
     sets.  Membership checks look at no more than the first SEARCH_CAP
     members of the open set.
     """
+    if memo is None:
+        memo = CompileMemo()
+    known = memo.commute
     dag.commute_set.clear()
     next_id = 0
     for wire, nodes in enumerate(dag.wires):
@@ -95,7 +106,11 @@ def commutation_analysis(dag: CircuitDag) -> None:
             joins = bool(current) and gate.is_unitary_gate()
             if joins:
                 for member in current[:SEARCH_CAP]:
-                    if not gates_commute(gate, dag.nodes[member].gate):
+                    other = dag.nodes[member].gate
+                    commutes = known.get((gate, other))
+                    if commutes is None:
+                        commutes = known[(gate, other)] = gates_commute(gate, other)
+                    if not commutes:
                         joins = False
                         break
             if not joins:
@@ -120,11 +135,14 @@ def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
     return True
 
 
-def commutative_cancellation(dag: CircuitDag) -> CircuitDag:
+def commutative_cancellation(dag: CircuitDag,
+                             memo: CompileMemo | None = None) -> CircuitDag:
     """Remove pairs of identical self-inverse gates that can be brought
     together by commutation; repeats until a fixed point."""
+    if memo is None:
+        memo = CompileMemo()
     for _ in range(16):
-        commutation_analysis(dag)
+        commutation_analysis(dag, memo)
         removed = _cancel_once(dag)
         if not removed:
             return dag

@@ -36,8 +36,10 @@ from .commutation import (
 )
 from .dag import CircuitDag, build_dag
 from .gates import Gate, GateKind
+from .memo import CompileMemo
 from .synthesis import (
     annotate_block_costs,
+    block_results,
     block_unitary,
     collect_blocks,
     kak_synthesize,
@@ -490,7 +492,7 @@ def decompose_swaps(ops: list[RoutedOp]) -> list[Gate]:
 # -- optimization passes around routing ----------------------------------------
 
 
-def resynthesize_blocks(circuit: Circuit) -> Circuit:
+def resynthesize_blocks(circuit: Circuit, memo: CompileMemo | None = None) -> Circuit:
     """Rewrite each two-qubit block into its minimal-CNOT canonical form.
 
     A block is rewritten when it contains non-CX two-qubit gates (basis
@@ -498,6 +500,8 @@ def resynthesize_blocks(circuit: Circuit) -> Circuit:
     that are already minimal are left untouched so that a chosen SWAP
     decomposition orientation survives to the cancellation pass.
     """
+    if memo is None:
+        memo = CompileMemo()
     dag = build_dag(circuit)
     blocks = collect_blocks(dag)
     rewritten: dict[int, list[Gate]] = {}
@@ -508,18 +512,20 @@ def resynthesize_blocks(circuit: Circuit) -> Circuit:
             g.num_qubits == 2 and g.kind is not GateKind.CX for g in gates
         )
         cx_count = sum(1 for g in gates if g.kind is GateKind.CX)
-        u = block_unitary(blk, dag)
-        minimal = min_cnot_count(u)
-        if not has_foreign and minimal >= cx_count:
+        res = block_results(memo, gates, blk.qubit_pair)
+        if res.cx is None:
+            res.cx = min_cnot_count(block_unitary(blk, dag))
+        if not has_foreign and res.cx >= cx_count:
             continue
-        synth = kak_synthesize(u, blk.qubit_pair, circuit.num_qubits)
+        if res.gates is None:
+            res.gates = kak_synthesize(block_unitary(blk, dag), (0, 1), 2).gates
         # Anchor the replacement at the first two-qubit member: leading 1q
         # members were collected before it but nothing else touches their
         # wire in between, so sliding them down to the anchor is sound.
         anchor = next(
             nid for nid in blk.node_ids if dag.nodes[nid].gate.num_qubits == 2
         )
-        rewritten[anchor] = list(synth.gates)
+        rewritten[anchor] = [g.remapped(blk.qubit_pair) for g in res.gates]
         drop.update(nid for nid in blk.node_ids if nid != anchor)
     out: list[Gate] = []
     for nid in dag.order:
@@ -530,12 +536,15 @@ def resynthesize_blocks(circuit: Circuit) -> Circuit:
     return circuit.with_gates(out)
 
 
-def optimize_circuit(circuit: Circuit, rounds: int = 10) -> Circuit:
+def optimize_circuit(circuit: Circuit, rounds: int = 10,
+                     memo: CompileMemo | None = None) -> Circuit:
     """Re-synthesis + commutative cancellation + 1q merging to a fixed point."""
+    if memo is None:
+        memo = CompileMemo()
     for _ in range(rounds):
         before = circuit.gates
-        circuit = resynthesize_blocks(circuit)
-        dag = commutative_cancellation(build_dag(circuit))
+        circuit = resynthesize_blocks(circuit, memo)
+        dag = commutative_cancellation(build_dag(circuit), memo)
         dag = merge_1q_runs(dag)
         circuit = dag.to_circuit()
         if circuit.gates == before:
@@ -543,11 +552,11 @@ def optimize_circuit(circuit: Circuit, rounds: int = 10) -> Circuit:
     return circuit
 
 
-def _annotate_for_routing(circuit: Circuit) -> CircuitDag:
+def _annotate_for_routing(circuit: Circuit, memo: CompileMemo | None = None) -> CircuitDag:
     dag = build_dag(circuit)
     blocks = collect_blocks(dag)
-    annotate_block_costs(dag, blocks)
-    commutation_analysis(dag)
+    annotate_block_costs(dag, blocks, memo)
+    commutation_analysis(dag, memo)
     return dag
 
 
@@ -565,13 +574,15 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
             f"{circuit.num_qubits} logical qubits > {n} physical"
         )
     t0 = time.perf_counter()
+    # block and commute results shared by every pass of this compile only
+    memo = CompileMemo()
     body, measures = _split_final_measures(circuit)
-    logical = optimize_circuit(body)
+    logical = optimize_circuit(body, memo=memo)
     base = metrics(logical)
     padded = Circuit(n, logical.gates, circuit.num_clbits)
 
-    fwd_dag = _annotate_for_routing(padded)
-    rev_dag = _annotate_for_routing(padded.with_gates(tuple(reversed(padded.gates))))
+    fwd_dag = _annotate_for_routing(padded, memo)
+    rev_dag = _annotate_for_routing(padded.with_gates(tuple(reversed(padded.gates))), memo)
     dist = distance_matrix_for(cmap, cfg)
 
     mapping = initial_mapping(fwd_dag, rev_dag, cmap, dist, cfg)
@@ -581,7 +592,7 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
         np.random.default_rng([cfg.seed, 0xF1A1]),
     )
     routed = Circuit(n, tuple(decompose_swaps(outcome.ops)), circuit.num_clbits)
-    routed = optimize_circuit(routed)
+    routed = optimize_circuit(routed, memo=memo)
     _assert_compliant(routed, cmap)
     final = metrics(routed)
     final_log_to_phys = outcome.final_mapping.log_to_phys

@@ -10,6 +10,15 @@ whose wire 0 is the most significant bit; `_W0`/`_W1` map back to (b, a).
 Degenerate spectra can break the simultaneous diagonalization used to extract
 the single-qubit prefactors, so synthesis retries with random local dressings
 (folded back into the emitted gates) before giving up.
+
+Within one compile the block results are memoized (``memo.CompileMemo``):
+a block's key is its content, per gate (kind, positions of its qubits in the
+block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
+CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
+on the local pair (0, 1) are stored, each on first need; no matrix is kept.
+Synthesis seeds its own rng and reaches the pair only through the qubit
+labels of the gates it emits, so remapping the stored gates onto the real
+pair gives what synthesizing on that pair gives.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .gates import (
     rz_matrix,
     u3_gate_from_matrix,
 )
+from .memo import BlockResults, CompileMemo
 
 _TOL = 1e-8
 
@@ -441,15 +451,38 @@ def block_unitary(block: TwoQubitBlock, dag: CircuitDag) -> np.ndarray:
     return pair_unitary(gates, block.qubit_pair)
 
 
-def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock]) -> None:
+def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResults:
+    """The memo entry for a block's content: per gate, its kind, the
+    positions of its qubits in `pair` and its params."""
+    a = pair[0]
+    key = tuple(
+        (g.kind, tuple(0 if q == a else 1 for q in g.qubits), g.params) for g in gates
+    )
+    found = memo.blocks.get(key)
+    if found is None:
+        found = memo.blocks[key] = BlockResults()
+    return found
+
+
+def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
+                         memo: CompileMemo | None = None) -> None:
     """Cache per-block CNOT counts with and without an appended SWAP, so the
     router's block predictor is a dictionary lookup."""
+    if memo is None:
+        memo = CompileMemo()
     dag.block_cx.clear()
     dag.block_cx_with_swap.clear()
     for blk in blocks:
-        u = block_unitary(blk, dag)
-        dag.block_cx[blk.block_id] = min_cnot_count(u)
-        dag.block_cx_with_swap[blk.block_id] = min_cnot_count(_SWAP4 @ u)
+        gates = [dag.nodes[nid].gate for nid in blk.node_ids]
+        res = block_results(memo, gates, blk.qubit_pair)
+        if res.cx is None or res.cx_with_swap is None:
+            u = block_unitary(blk, dag)
+            if res.cx is None:
+                res.cx = min_cnot_count(u)
+            if res.cx_with_swap is None:
+                res.cx_with_swap = min_cnot_count(_SWAP4 @ u)
+        dag.block_cx[blk.block_id] = res.cx
+        dag.block_cx_with_swap[blk.block_id] = res.cx_with_swap
 
 
 def predict_c2q(dag: CircuitDag, pred_a: int | None, pred_b: int | None) -> int:

@@ -1,0 +1,214 @@
+"""The per-compile memo (``optswap.memo``) must leave every output as it was:
+passes given the memo produce the same gates and annotations as passes given
+a memo that never stores, at any circuit size, and a compile keeps nothing
+once it returns."""
+
+import gc
+import importlib
+import math
+import pkgutil
+import weakref
+
+import numpy as np
+import pytest
+
+import optswap
+from optswap import routing
+from optswap.circuit import Circuit
+from optswap.gates import Gate, GateKind
+from optswap.memo import CompileMemo
+from optswap.qasm import serialize_qasm
+from optswap.routing import (
+    NASSC,
+    SABRE,
+    RouterConfig,
+    _annotate_for_routing,
+    full_pipeline,
+    optimize_circuit,
+    resynthesize_blocks,
+)
+from optswap.sim import circuit_unitary
+from optswap.topology import grid_map
+
+from conftest import phase_distance
+
+
+class _Forgetful(dict):
+    """Drops every store, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def forgetful() -> CompileMemo:
+    return CompileMemo(blocks=_Forgetful(), commute=_Forgetful())
+
+
+def random_cx(rng, n, count):
+    return Circuit(n, tuple(
+        Gate(GateKind.CX, tuple(int(q) for q in rng.choice(n, 2, replace=False)))
+        for _ in range(count)
+    ))
+
+
+def random_angles(rng, n, count):
+    """rz/u3/cx/cz/crx with random angles."""
+    gates = []
+    for _ in range(count):
+        kind = [GateKind.RZ, GateKind.U3, GateKind.CX, GateKind.CZ, GateKind.CRX][
+            int(rng.integers(5))
+        ]
+        if kind in (GateKind.RZ, GateKind.U3):
+            qubits = (int(rng.integers(n)),)
+        else:
+            qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        arity = {GateKind.RZ: 1, GateKind.U3: 3, GateKind.CRX: 1}.get(kind, 0)
+        gates.append(Gate(kind, qubits, tuple(rng.uniform(-math.pi, math.pi, arity))))
+    return Circuit(n, tuple(gates))
+
+
+def assert_same_circuit(a: Circuit, b: Circuit):
+    assert a.gates == b.gates
+    # repr of every parameter: also tells 0.0 from -0.0
+    assert serialize_qasm(a) == serialize_qasm(b)
+
+
+def optimize_and_annotate(circuit: Circuit, memo: CompileMemo):
+    """Pre-optimization and both routing annotations, as full_pipeline runs
+    them: one memo for all three."""
+    logical = optimize_circuit(circuit, memo=memo)
+    reverse = logical.with_gates(tuple(reversed(logical.gates)))
+    return logical, [_annotate_for_routing(c, memo) for c in (logical, reverse)]
+
+
+def assert_memo_changes_nothing(circuit: Circuit):
+    memo = CompileMemo()
+    got, got_dags = optimize_and_annotate(circuit, memo)
+    want, want_dags = optimize_and_annotate(circuit, forgetful())
+    assert memo.blocks and memo.commute
+    assert_same_circuit(got, want)
+    for dag, ref in zip(got_dags, want_dags):
+        assert dag.block_id == ref.block_id
+        assert dag.block_cx == ref.block_cx
+        assert dag.block_cx_with_swap == ref.block_cx_with_swap
+        assert dag.commute_set == ref.commute_set
+
+
+def compile_both_ways(monkeypatch, circuit, cmap, cfg):
+    """full_pipeline with its own memo, then with a memo that never stores."""
+    with_memo = full_pipeline(circuit, cmap, cfg)
+    monkeypatch.setattr(routing, "CompileMemo", forgetful)
+    without = full_pipeline(circuit, cmap, cfg)
+    monkeypatch.undo()
+    return with_memo, without
+
+
+def assert_same_result(a, b):
+    assert_same_circuit(a.circuit, b.circuit)
+    assert a.initial_mapping == b.initial_mapping
+    assert a.final_mapping == b.final_mapping
+    drop = "wall_time_s"
+    assert ({k: v for k, v in a.stats.items() if k != drop}
+            == {k: v for k, v in b.stats.items() if k != drop})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_memo_keeps_wide_cx_compiles(monkeypatch, seed):
+    circ = random_cx(np.random.default_rng([seed, 64]), 64, 80)
+    assert_memo_changes_nothing(circ)
+    for algorithm in (SABRE, NASSC):
+        cfg = RouterConfig(algorithm=algorithm, seed=seed)
+        assert_same_result(*compile_both_ways(monkeypatch, circ, grid_map(8, 8), cfg))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_memo_keeps_random_angle_compiles(monkeypatch, seed):
+    circ = random_angles(np.random.default_rng([seed, 5]), 6, 150)
+    assert_memo_changes_nothing(circ)
+    cfg = RouterConfig(algorithm=NASSC, seed=seed)
+    assert_same_result(*compile_both_ways(monkeypatch, circ, grid_map(2, 3), cfg))
+
+
+def test_mirrored_block_reuses_the_stored_synthesis():
+    def block(a, b):
+        return [Gate(GateKind.CRX, (a, b), (0.7,)),
+                Gate(GateKind.U3, (a,), (0.3, 0.2, 0.1)),
+                Gate(GateKind.CZ, (a, b))]
+
+    # (1, 0) mirrors (0, 1): same content, so one entry; on (2, 3) the u3 sits
+    # on the pair's second qubit, which is other content with the same gates
+    first, mirrored = block(0, 1), block(1, 0)
+    other = [Gate(GateKind.CRX, (2, 3), (0.7,)),
+             Gate(GateKind.U3, (3,), (0.3, 0.2, 0.1)),
+             Gate(GateKind.CZ, (2, 3))]
+    circ = Circuit(4, tuple(first + [Gate(GateKind.CX, (1, 2))] + mirrored + other))
+    memo = CompileMemo()
+    out = resynthesize_blocks(circ, memo)
+    assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
+    assert phase_distance(circuit_unitary(out), circuit_unitary(circ)) < 1e-9
+    assert len(memo.blocks) == 3  # four blocks, the mirrored pair shares one
+    assert_memo_changes_nothing(circ)
+
+
+@pytest.mark.parametrize("zero_first", [0.0, -0.0])
+def test_signed_zero_rotations_share_an_entry_with_the_same_output(zero_first):
+    def block(a, b, zero):
+        return [Gate(GateKind.RZ, (a,), (zero,)),
+                Gate(GateKind.CRX, (a, b), (0.4,)),
+                Gate(GateKind.U3, (b,), (zero, 0.3, -zero))]
+
+    circ = Circuit(4, tuple(block(0, 1, zero_first) + block(2, 3, -zero_first)))
+    memo = CompileMemo()
+    out = resynthesize_blocks(circ, memo)
+    assert len(memo.blocks) == 1
+    assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
+    assert_memo_changes_nothing(circ)
+
+
+def _module_state():
+    """Sizes of every module-level container and function cache in optswap."""
+    sizes = {}
+    for info in pkgutil.iter_modules(optswap.__path__):
+        module = importlib.import_module(f"optswap.{info.name}")
+        for name, value in vars(module).items():
+            key = f"{info.name}.{name}"
+            if isinstance(value, (dict, list, set)):
+                sizes[key] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[key] = value.cache_info().currsize
+    return sizes
+
+
+def test_compile_keeps_no_memo_after_it_returns(monkeypatch):
+    memos = []  # (weak reference, entries when a resynthesis pass began)
+
+    class Recorded(CompileMemo):
+        pass
+
+    resynthesize = routing.resynthesize_blocks
+
+    def spy(circuit, memo=None):
+        assert type(memo) is Recorded  # the compile's own memo
+        memos.append((weakref.ref(memo), len(memo.blocks)))
+        return resynthesize(circuit, memo)
+
+    circ = random_angles(np.random.default_rng(11), 5, 80)
+    cfg = RouterConfig(algorithm=NASSC)
+    full_pipeline(circ, grid_map(2, 3), cfg)  # fills the process-wide lru
+    before = _module_state()
+    monkeypatch.setattr(routing, "CompileMemo", Recorded)
+    monkeypatch.setattr(routing, "resynthesize_blocks", spy)
+    results = []
+    for _ in range(2):
+        start = len(memos)
+        results.append(full_pipeline(circ, grid_map(2, 3), cfg))
+        gc.collect()
+        compile_memos = memos[start:]
+        assert len({id(ref) for ref, _ in compile_memos}) == 1  # one per compile
+        assert compile_memos[0][1] == 0  # nothing carried over
+        assert all(ref() is None for ref, _ in compile_memos)  # freed
+        assert any(size > 0 for _, size in compile_memos)  # and used
+    after = _module_state()
+    changed = {k for k in before if before[k] != after[k]} | (after.keys() - before.keys())
+    assert changed <= {"commutation._commute_key"}
+    assert_same_result(*results)

@@ -5,7 +5,14 @@ import pytest
 
 from optswap.circuit import Circuit
 from optswap.dag import build_dag
-from optswap.gates import CX_MATRIX, SWAP_MATRIX, Gate, GateKind, gate_matrix
+from optswap.gates import (
+    CX_MATRIX,
+    SWAP_MATRIX,
+    Gate,
+    GateKind,
+    gate_matrix,
+    u3_gate_from_matrix,
+)
 from optswap.sim import circuit_unitary
 from optswap.synthesis import (
     NotUnitary,
@@ -325,6 +332,23 @@ def test_merge_1q_respects_wire_boundaries(rng):
     merged = merge_1q_runs(build_dag(circ)).to_circuit()
     assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-10
     assert len(merged.gates) == 4  # the two RZ fused
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="is_identity_up_to_phase keeps allclose's rtol of 1e-5 on the "
+    "diagonal, so a run 2e-6 rad from the identity is dropped (ROADMAP item 3)",
+)
+def test_merge_1q_keeps_a_run_just_off_the_identity():
+    # two u3 gates whose product is diag(1, e^{i 2e-6}), as on wire 9 of
+    # small_noisy instance 78's rang10_5
+    first = Gate(GateKind.U3, (0,), (0.5, 0.2, 0.3))
+    target = np.diag([1.0, np.exp(2e-6j)])
+    second = u3_gate_from_matrix(target @ gate_matrix(first).conj().T, 0)
+    circ = Circuit(1, (first, second))
+    merged = merge_1q_runs(build_dag(circ)).to_circuit()
+    assert phase_distance(circuit_unitary(circ), target) < 1e-12
+    assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-9
 
 
 def test_block_resynthesis_preserves_simulation(rng):
