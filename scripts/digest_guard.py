@@ -3,6 +3,7 @@
 and print one JSON line per instance.
 
     python3 scripts/digest_guard.py > guard.jsonl
+    python3 scripts/digest_guard.py --against REV
 
 The guard set is paper_montreal and wide_grid instances 0-3 plus small_noisy
 instances 0-19.  Each instance runs ``perfbench/worker.py --check`` of the
@@ -11,17 +12,24 @@ digest over every routed QASM, mapping and stats dict, the compiles that
 raised and the outputs that failed a check.  Run it in two checkouts and
 compare the files with ``diff``: a change that keeps outputs byte-identical
 leaves them equal.
+
+With ``--against REV`` the script does both runs itself: it checks REV out
+into a temporary ``git worktree``, runs the guard there and in this checkout
+(uncommitted changes included), prints the two lines of every instance that
+differs, and exits 1 if any does.  The worktree is removed afterwards.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKER = ROOT / "perfbench" / "worker.py"
 
 GUARD_SET = (
     ("paper_montreal", range(4)),
@@ -30,11 +38,11 @@ GUARD_SET = (
 )
 
 
-def guard_line(workload: str, instance: int) -> dict:
+def guard_line(root: Path, workload: str, instance: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, str(WORKER), "--workload", workload,
+        [sys.executable, str(root / "perfbench" / "worker.py"), "--workload", workload,
          "--seed", str(instance), "--check"],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        cwd=root, capture_output=True, text=True, check=True,
     )
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     return {
@@ -46,11 +54,44 @@ def guard_line(workload: str, instance: int) -> dict:
     }
 
 
-def main() -> int:
+def guard_lines(root: Path):
     for workload, instances in GUARD_SET:
         for instance in instances:
-            print(json.dumps(guard_line(workload, instance)), flush=True)
-    return 0
+            yield guard_line(root, workload, instance)
+
+
+def guard_lines_at(rev: str) -> list[dict]:
+    """The guard lines of revision REV, run in a temporary worktree."""
+    tmp = Path(tempfile.mkdtemp(prefix="digest-guard-"))
+    tree = tmp / "tree"
+    subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), rev],
+                   check=True, capture_output=True, text=True)
+    try:
+        return list(guard_lines(tree))
+    finally:
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="REV",
+                    help="compare with the guard lines of this git revision")
+    args = ap.parse_args(argv)
+    if args.against is None:
+        for line in guard_lines(ROOT):
+            print(json.dumps(line), flush=True)
+        return 0
+    theirs = guard_lines_at(args.against)
+    ours = list(guard_lines(ROOT))
+    differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
+    for a, b in differ:
+        print(json.dumps({"workload": a["workload"], "instance": a["instance"],
+                          args.against: a, "here": b}))
+    print(f"{len(ours) - len(differ)} of {len(ours)} instances equal at "
+          f"{args.against} and here", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

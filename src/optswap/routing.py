@@ -16,11 +16,18 @@ gates that touch u or v.  Hop distances are integers, so these sums equal
 the direct ones exactly; noise-aware float distances may differ in the last
 bits.  The extended layer depends only on the DAG and the unsatisfied front,
 so it is recomputed only when that front changes.
+
+Each iteration otherwise redoes only what the last SWAP changed, as in
+LightSABRE: a drain re-checks only the front gates on the SWAP's two qubits
+and, sweep by sweep, the gates just made ready; a candidate's predicted
+savings are recomputed only when one of its two wires changed.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -83,8 +90,13 @@ class RouterConfig:
     def __post_init__(self):
         if self.algorithm not in (SABRE, NASSC):
             raise ValueError(f"unknown algorithm '{self.algorithm}'")
-        if self.extended_size < 0 or self.extended_weight < 0:
-            raise ValueError("extended layer parameters must be nonnegative")
+        size = self.extended_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise ValueError(f"extended_size must be a nonnegative integer, got {size!r}")
+        weight = self.extended_weight
+        if not math.isfinite(weight) or weight < 0:
+            # a NaN weight would leave every candidate's cost NaN
+            raise ValueError(f"extended_weight must be finite and nonnegative, got {weight!r}")
 
     def flags(self) -> tuple[bool, bool, bool]:
         if self.algorithm == SABRE:
@@ -158,63 +170,94 @@ class RoutingResult:
 
 class _RouteState:
     """Mutable routing state: emitted ops, per-wire histories (live ops only;
-    1q ops a SWAP moves leave their wire's history), front layer."""
+    1q ops a SWAP moves leave their wire's history), the front layer in
+    topological order, and each coupling edge's cost predictions.
 
-    def __init__(self, dag: CircuitDag, cmap: CouplingMap, mapping: QubitMapping):
+    A physical wire's version is bumped whenever its history or the logical
+    qubit on it changes; an edge's predictions read nothing else (beyond the
+    fixed DAG annotations), so they stay valid while both versions hold.
+    """
+
+    def __init__(self, dag: CircuitDag, cmap: CouplingMap, mapping: QubitMapping,
+                 flags: tuple[bool, bool, bool] = (False, False, False)):
         self.dag = dag
         self.cmap = cmap
         self.mapping = mapping
+        self.flags = flags
+        n = cmap.num_physical_qubits
         self.node_qubits = [node.gate.qubits for node in dag.nodes]
-        self.incident: list[list[tuple[int, int]]] = [
-            [] for _ in range(cmap.num_physical_qubits)
+        # gates that must sit on a coupling to run
+        self.needs_edge = [
+            node.gate.num_qubits == 2 and node.gate.is_unitary_gate()
+            for node in dag.nodes
         ]
+        self.successors = [dag.successors(nid) for nid in range(len(dag.nodes))]
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for edge in cmap.sorted_edges():
             for q in edge:
                 self.incident[q].append(edge)
         self.ops: list[RoutedOp] = []
-        self.wire_hist: list[list[RoutedOp]] = [
-            [] for _ in range(cmap.num_physical_qubits)
-        ]
-        self.pending_preds: dict[int, int] = {}
+        self.wire_hist: list[list[RoutedOp]] = [[] for _ in range(n)]
+        self.version = [0] * n
+        # edge -> (version of u, version of v, predictions)
+        self.predictions: dict[tuple[int, int], tuple] = {}
         self.topo_pos = {nid: i for i, nid in enumerate(dag.order)}
+        self.pending_preds = [0] * len(dag.nodes)
         self.front: list[int] = []
         for nid in dag.order:
             npred = len(dag.predecessors(nid))
             self.pending_preds[nid] = npred
             if npred == 0:
                 self.front.append(nid)
-        self.resolved_nodes: set[int] = set()
 
     def executable(self, nid: int) -> bool:
-        gate = self.dag.nodes[nid].gate
-        if gate.num_qubits != 2 or not gate.is_unitary_gate():
+        if not self.needs_edge[nid]:
             return True
-        pa, pb = (self.mapping.log_to_phys[q] for q in gate.qubits)
-        return self.cmap.has_edge(pa, pb)
+        qa, qb = self.node_qubits[nid]
+        l2p = self.mapping.log_to_phys
+        return self.cmap.has_edge(l2p[qa], l2p[qb])
 
-    def emit_node(self, nid: int) -> None:
+    def emit_node(self, nid: int) -> list[int]:
+        """Emit a front gate; returns the successors it made ready."""
         gate = self.dag.nodes[nid].gate
         phys = gate.remapped(self.mapping.log_to_phys)
         op = RoutedOp(phys, nid, seq=len(self.ops))
         self.ops.append(op)
         for q in phys.qubits:
             self.wire_hist[q].append(op)
-        self.resolved_nodes.add(nid)
+            self.version[q] += 1
         self.front.remove(nid)
-        for succ in self.dag.successors(nid):
+        ready = []
+        for succ in self.successors[nid]:
             self.pending_preds[succ] -= 1
             if self.pending_preds[succ] == 0:
-                self.front.append(succ)
-        self.front.sort(key=self.topo_pos.__getitem__)
+                insort(self.front, succ, key=self.topo_pos.__getitem__)
+                ready.append(succ)
+        return ready
 
-    def drain_front(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for nid in list(self.front):
+    def drain_front(self, moved: tuple[int, ...] | None = None) -> None:
+        """Emit executable front gates until none is left.
+
+        ``moved`` names the physical qubits whose logical qubit changed since
+        the front was last drained: only front gates on them can have become
+        executable (None checks the whole front).  The layout is fixed during
+        a drain, so each later sweep checks only the gates the previous sweep
+        made ready, in topological order, as a full re-sweep would.
+        """
+        if moved is None:
+            sweep = list(self.front)
+        else:
+            p2l = self.mapping.phys_to_log
+            logical = {p2l[p] for p in moved}
+            sweep = [nid for nid in self.front
+                     if not logical.isdisjoint(self.node_qubits[nid])]
+        while sweep:
+            ready: list[int] = []
+            for nid in sweep:
                 if self.executable(nid):
-                    self.emit_node(nid)
-                    progressed = True
+                    ready += self.emit_node(nid)
+            ready.sort(key=self.topo_pos.__getitem__)
+            sweep = ready
 
     def insert_swap(self, cand: SwapCandidate) -> None:
         u, v = cand.edge
@@ -246,9 +289,37 @@ class _RouteState:
             self.ops.append(relocated)
             self.wire_hist[other[q]].append(relocated)
         self.mapping.swap_physical(u, v)
+        self.version[u] += 1
+        self.version[v] += 1
 
-    def unsatisfied_front(self) -> list[int]:
-        return [nid for nid in self.front if not self.executable(nid)]
+    def predict(self, u: int, v: int) -> tuple:
+        """(c2q, ccommute1, ccommute2, label, prev_swap_entry) of SWAP(u, v),
+        recomputed only when a wire of the edge changed since the last call."""
+        version = self.version
+        entry = self.predictions.get((u, v))
+        if entry is not None and entry[0] == version[u] and entry[1] == version[v]:
+            return entry[2]
+        b2q, bc1, bc2 = self.flags
+        hist_u, hist_v = self.wire_hist[u], self.wire_hist[v]
+        c2q = ccommute1 = ccommute2 = 0
+        label, prev = _NO_LABEL, None
+        # predictors are looked up at call time: tracers rebind them here
+        if b2q:
+            pred_u = hist_u[-1].node_id if hist_u else None
+            pred_v = hist_v[-1].node_id if hist_v else None
+            c2q = predict_c2q(self.dag, pred_u, pred_v)
+        if bc1:
+            lu, lv = self.mapping.phys_to_log[u], self.mapping.phys_to_log[v]
+            value, found = predict_ccommute1(self.dag, hist_u, hist_v, lu, lv, u, v)
+            if value:
+                ccommute1, label = value, found
+        if bc2 and label.rationale == "none":
+            value, found, swap_entry = predict_ccommute2(self.dag, hist_u, hist_v, u, v)
+            if value:
+                ccommute2, label, prev = value, found, swap_entry
+        pred = (c2q, ccommute1, ccommute2, label, prev)
+        self.predictions[(u, v)] = (version[u], version[v], pred)
+        return pred
 
     def extended_layer(self, front_2q: list[int], cap: int) -> list[int]:
         """Closest two-qubit successors of the front, in topological order."""
@@ -260,15 +331,14 @@ class _RouteState:
         while frontier and len(out) < cap:
             nxt: list[int] = []
             for nid in frontier:
-                for succ in self.dag.successors(nid):
+                for succ in self.successors[nid]:
                     if succ in seen:
                         continue
                     seen.add(succ)
                     nxt.append(succ)
             nxt.sort(key=self.topo_pos.__getitem__)
             for nid in nxt:
-                gate = self.dag.nodes[nid].gate
-                if gate.num_qubits == 2 and gate.is_unitary_gate():
+                if self.needs_edge[nid]:
                     out.append(nid)
                     if len(out) == cap:
                         break
@@ -324,46 +394,36 @@ class _Layer:
         return self.total + delta
 
 
-def _score_candidate(
+def _score_edges(
     state: _RouteState,
-    edge: tuple[int, int],
+    edges: list[tuple[int, int]],
     front: _Layer,
     extended: _Layer,
     cfg: RouterConfig,
-) -> SwapCandidate:
-    u, v = edge
-    b2q, bc1, bc2 = cfg.flags()
-    cand = SwapCandidate(edge)
-    mapping = state.mapping
-
-    if b2q or bc1 or bc2:
-        hist_u = state.wire_hist[u]
-        hist_v = state.wire_hist[v]
-        if b2q:
-            pred_u = hist_u[-1].node_id if hist_u else None
-            pred_v = hist_v[-1].node_id if hist_v else None
-            cand.c2q = predict_c2q(state.dag, pred_u, pred_v)
-        if bc1:
-            lu, lv = mapping.phys_to_log[u], mapping.phys_to_log[v]
-            value, label = predict_ccommute1(state.dag, hist_u, hist_v, lu, lv, u, v)
-            if value:
-                cand.ccommute1 = value
-                cand.label = label
-        if bc2 and cand.label.rationale == "none":
-            value, label, prev = predict_ccommute2(state.dag, hist_u, hist_v, u, v)
-            if value:
-                cand.ccommute2 = value
-                cand.label = label
-                cand.prev_swap_entry = prev
-
-    reduction = cand.c2q + cand.ccommute1 + cand.ccommute2
-    basic = (3.0 * front.sum_after_swap(u, v) - reduction) / len(front.nids)
-    lookahead = 0.0
-    if extended.nids:
-        lookahead = (cfg.extended_weight * extended.sum_after_swap(u, v)
-                     / len(extended.nids))
-    cand.cost = basic + lookahead - _COMMUTE_TIEBREAK * (cand.ccommute1 + cand.ccommute2)
-    return cand
+) -> list[float]:
+    """Cost of a SWAP on each edge: three CNOTs per unit of front distance
+    after it, minus the CNOTs later passes are predicted to save, per front
+    gate; plus the weighted mean extended-layer distance.  Commute
+    cancellations win exact ties by a nudge."""
+    n_front = len(front.nids)
+    n_ext = len(extended.nids)
+    weight = cfg.extended_weight
+    predicts = any(state.flags)
+    front_sum = front.sum_after_swap
+    ext_sum = extended.sum_after_swap
+    costs = []
+    for u, v in edges:
+        reduction = commute = 0
+        if predicts:
+            c2q, ccommute1, ccommute2, _, _ = state.predict(u, v)
+            reduction = c2q + ccommute1 + ccommute2
+            commute = ccommute1 + ccommute2
+        basic = (3.0 * front_sum(u, v) - reduction) / n_front
+        lookahead = 0.0
+        if n_ext:
+            lookahead = weight * ext_sum(u, v) / n_ext
+        costs.append(basic + lookahead - _COMMUTE_TIEBREAK * commute)
+    return costs
 
 
 def route(
@@ -375,47 +435,49 @@ def route(
     rng: np.random.Generator,
 ) -> RouteOutcome:
     """Run the layered loop until every gate is emitted on coupled qubits."""
-    state = _RouteState(dag, cmap, mapping)
+    state = _RouteState(dag, cmap, mapping, cfg.flags())
     rows = dist.tolist()
     outcome = RouteOutcome([], mapping)
     max_iter = 10 * cmap.num_physical_qubits * max(1, len(dag.order))
     stall_cap = max(8, 2 * cmap.num_physical_qubits)
     iterations = 0
     stall = 0
+    moved: tuple[int, ...] | None = None
     front_before: list[int] | None = None
     extended: list[int] = []
     while True:
-        resolved_before = len(state.resolved_nodes)
-        state.drain_front()
+        emitted_before = len(state.ops)
+        state.drain_front(moved)
         if not state.front:
             break
-        stall = 0 if len(state.resolved_nodes) > resolved_before else stall + 1
+        stall = 0 if len(state.ops) > emitted_before else stall + 1
         iterations += 1
         if iterations > max_iter:
             raise RoutingError(
                 f"no progress after {max_iter} SWAP insertions; "
                 "routing appears to oscillate"
             )
-        front_2q = state.unsatisfied_front()
+        # drained: every front gate is a two-qubit gate off the coupling map
+        front_2q = list(state.front)
         if stall > stall_cap:
             # cost-directed search is cycling through zero-progress SWAPs;
             # force the first front gate along a shortest path
             outcome.swaps_inserted += _greedy_resolve(state, front_2q[0], rows)
             stall = 0
+            moved = None
             continue
         if front_2q != front_before:
             extended = state.extended_layer(front_2q, cfg.extended_size)
             front_before = front_2q
-        front_layer = _Layer(state, front_2q, rows)
-        ext_layer = _Layer(state, extended, rows)
-        candidates = [
-            _score_candidate(state, edge, front_layer, ext_layer, cfg)
-            for edge in enumerate_candidates(state, front_2q)
-        ]
-        best = min(c.cost for c in candidates)
-        tied = [c for c in candidates if c.cost <= best + 1e-12]
-        choice = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+        edges = enumerate_candidates(state, front_2q)
+        costs = _score_edges(state, edges, _Layer(state, front_2q, rows),
+                             _Layer(state, extended, rows), cfg)
+        best = min(costs)
+        tied = [i for i, cost in enumerate(costs) if cost <= best + 1e-12]
+        pick = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else tied[0]
+        choice = SwapCandidate(edges[pick], *state.predict(*edges[pick]), cost=costs[pick])
         state.insert_swap(choice)
+        moved = choice.edge
         outcome.swaps_inserted += 1
         if choice.c2q > 0:
             outcome.swaps_opt_2q += 1

@@ -2,7 +2,7 @@
 
 ``direct_score`` re-sums the post-SWAP distance of every front and extended
 gate for each candidate, the way the router scored candidates before it
-switched to relative scoring.  The router's ``_score_candidate`` must give
+switched to relative scoring.  The router's ``_score_edges`` must give
 the same cost: exactly with integer hop distances, and up to float rounding
 with noise-aware distances.
 """

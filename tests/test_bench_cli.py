@@ -199,6 +199,14 @@ def test_cli_bench(tmp_path):
     assert len(lines) == 4
 
 
+def test_cli_rejects_nan_extended_weight(tmp_path, capsys):
+    src = tmp_path / "in.qasm"
+    src.write_text(serialize_qasm(Circuit(5, (Gate(GateKind.CX, (0, 4)),))))
+    assert main(["route", "--in", str(src), "--coupling", "linear(5)",
+                 "--out", str(tmp_path / "x.qasm"), "--extended-weight", "nan"]) == 2
+    assert "error: ValueError: extended_weight" in capsys.readouterr().err
+
+
 def test_cli_errors_are_exit_codes(tmp_path, capsys):
     missing = tmp_path / "missing.qasm"
     assert main(["route", "--in", str(missing), "--coupling", "linear(3)",

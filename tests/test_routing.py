@@ -21,7 +21,7 @@ from optswap.routing import (
     _Layer,
     _RouteState,
     _annotate_for_routing,
-    _score_candidate,
+    _score_edges,
     decompose_swaps,
     distance_matrix_for,
     enumerate_candidates,
@@ -36,6 +36,7 @@ from optswap.topology import NoiseProfile, grid_map, linear_map, montreal_map
 
 from conftest import phase_distance
 from direct_score import direct_score
+from route_reference import reference_route, score_candidate
 
 
 def cx(a, b):
@@ -57,16 +58,24 @@ LAYERED = Circuit(4, (cx(2, 1), crx(0.4, 0, 1), cx(2, 3), cx(0, 2),
                       crx(0.4, 1, 2), cx(0, 1)))
 
 
-def make_state(circuit, cmap, mapping=None, annotate=True):
+def make_state(circuit, cmap, mapping=None, annotate=True, cfg=None):
     dag = _annotate_for_routing(circuit) if annotate else build_dag(circuit)
     n = cmap.num_physical_qubits
     mapping = mapping or QubitMapping(list(range(n)))
-    return _RouteState(dag, cmap, mapping)
+    flags = cfg.flags() if cfg is not None else (False, False, False)
+    return _RouteState(dag, cmap, mapping, flags)
 
 
 def layers(state, front, ext, dist):
     rows = dist.tolist()
     return _Layer(state, front, rows), _Layer(state, ext, rows)
+
+
+def scored(state, edges, front, ext, dist, cfg):
+    """The router's candidates for edges, with their costs and predictions."""
+    costs = _score_edges(state, edges, *layers(state, front, ext, dist), cfg)
+    return [SwapCandidate(edge, *state.predict(*edge), cost=cost)
+            for edge, cost in zip(edges, costs)]
 
 
 def test_qubit_mapping_invariants():
@@ -78,12 +87,26 @@ def test_qubit_mapping_invariants():
         QubitMapping([0, 0, 1])
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -0.5])
+def test_router_config_rejects_bad_extended_weight(weight):
+    # a NaN weight made every cost NaN, so no candidate tied with the minimum
+    # and route raised an untyped IndexError (cx(0, 4), cx(0, 2) on linear(5))
+    with pytest.raises(ValueError, match="extended_weight"):
+        RouterConfig(extended_weight=weight)
+
+
+@pytest.mark.parametrize("size", [2.5, 20.0, "20", True, None, -1])
+def test_router_config_rejects_bad_extended_size(size):
+    with pytest.raises(ValueError, match="extended_size"):
+        RouterConfig(extended_size=size)
+
+
 def test_enumerate_candidates_layered_example():
     # front gate CX(0,2) on a 4-qubit line: edges touching q0 or q2
     cmap = linear_map(4)
     state = make_state(Circuit(4, (cx(0, 2),)), cmap)
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     assert enumerate_candidates(state, front) == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -91,7 +114,7 @@ def test_enumerate_candidates_dedupes_shared_qubit():
     cmap = linear_map(4)
     state = make_state(Circuit(4, (cx(0, 2), cx(1, 3))), cmap)
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     edges = enumerate_candidates(state, front)
     assert edges == sorted(set(edges))
 
@@ -100,11 +123,11 @@ def test_cost_degenerate_distance_only():
     # single front gate at distance 2 after the SWAP, no lookahead, no C_k
     cmap = linear_map(4)
     cfg = RouterConfig(algorithm=SABRE, extended_size=0)
-    state = make_state(Circuit(4, (cx(0, 3),)), cmap)
+    state = make_state(Circuit(4, (cx(0, 3),)), cmap, cfg=cfg)
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     dist = distance_matrix_for(cmap, cfg)
-    cand = _score_candidate(state, (0, 1), *layers(state, front, [], dist), cfg)
+    (cand,) = scored(state, [(0, 1)], front, [], dist, cfg)
     assert cand.cost == pytest.approx(6.0)  # 3 * distance(1, 3)
 
 
@@ -114,13 +137,12 @@ def test_cost_fig1_block_merge_wins():
     cmap = linear_map(3)
     cfg = RouterConfig(algorithm=NASSC)
     circ = optimize_circuit(FIG1)
-    state = make_state(circ, cmap)
+    state = make_state(circ, cmap, cfg=cfg)
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     dist = distance_matrix_for(cmap, cfg)
     ext = state.extended_layer(front, cfg.extended_size)
-    merge = _score_candidate(state, (0, 1), *layers(state, front, ext, dist), cfg)
-    other = _score_candidate(state, (1, 2), *layers(state, front, ext, dist), cfg)
+    merge, other = scored(state, [(0, 1), (1, 2)], front, ext, dist, cfg)
     assert merge.c2q == 2
     assert merge.cost < other.cost
 
@@ -130,14 +152,13 @@ def test_cost_fig4_commute_cancellation_wins():
     # only merges a block, so the commute candidate wins the tie
     cmap = linear_map(4)
     cfg = RouterConfig(algorithm=NASSC)
-    state = make_state(LAYERED, cmap)
+    state = make_state(LAYERED, cmap, cfg=cfg)
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     assert [state.dag.nodes[n].gate for n in front] == [cx(0, 2)]
     dist = distance_matrix_for(cmap, cfg)
     ext = state.extended_layer(front, cfg.extended_size)
-    commute_cand = _score_candidate(state, (1, 2), *layers(state, front, ext, dist), cfg)
-    block_cand = _score_candidate(state, (0, 1), *layers(state, front, ext, dist), cfg)
+    block_cand, commute_cand = scored(state, [(0, 1), (1, 2)], front, ext, dist, cfg)
     assert commute_cand.ccommute1 == 2
     assert commute_cand.label.control_phys == 2
     assert block_cand.c2q == 2
@@ -147,7 +168,7 @@ def test_cost_fig4_commute_cancellation_wins():
 def test_extended_layer_orders_and_caps():
     state = make_state(LAYERED, linear_map(4))
     state.drain_front()
-    front = state.unsatisfied_front()
+    front = list(state.front)
     ext = state.extended_layer(front, 1)
     assert len(ext) == 1
     ext20 = state.extended_layer(front, 20)
@@ -180,24 +201,22 @@ def compare_scores(circuit, cmap, cfg, rng, steps, tol):
     dist = distance_matrix_for(cmap, cfg)
     n = cmap.num_physical_qubits
     mapping = QubitMapping([int(p) for p in rng.permutation(n)])
-    state = make_state(circuit, cmap, mapping)
+    state = make_state(circuit, cmap, mapping, cfg=cfg)
     widest = 0
     for _ in range(steps):
         state.drain_front()
         if not state.front:
             break
-        front = state.unsatisfied_front()
+        front = list(state.front)
         ext = state.extended_layer(front, cfg.extended_size)
         widest = max(widest, len(ext))
-        front_layer, ext_layer = layers(state, front, ext, dist)
         touched = {state.mapping.log_to_phys[q]
                    for nid in front for q in state.dag.nodes[nid].gate.qubits}
         edges = enumerate_candidates(state, front)
         assert edges == [e for e in cmap.sorted_edges() if touched & set(e)]
         cands = []
-        for edge in edges:
+        for edge, cand in zip(edges, scored(state, edges, front, ext, dist, cfg)):
             ref = direct_score(state, edge, front, ext, dist, cfg)
-            cand = _score_candidate(state, edge, front_layer, ext_layer, cfg)
             if tol == 0:
                 assert cand.cost == ref.cost, edge
             else:
@@ -245,19 +264,19 @@ def test_route_reuses_extended_layer_only_while_front_is_unchanged(monkeypatch):
         computed.append(list(front_2q))
         return fresh_extended(self, front_2q, cap)
 
-    score = routing._score_candidate
+    score = routing._score_edges
     scored: list = []  # the front layer of each scored iteration
 
-    def checked(state, edge, front, extended, cfg):
+    def checked(state, edges, front, extended, cfg):
         if not scored or scored[-1] is not front:
             scored.append(front)
             assert extended.nids == fresh_extended(state, front.nids, cfg.extended_size)
             fresh = _Layer(state, extended.nids, front.dist)
             assert (extended.total, extended.on) == (fresh.total, fresh.on)
-        return score(state, edge, front, extended, cfg)
+        return score(state, edges, front, extended, cfg)
 
     monkeypatch.setattr(_RouteState, "extended_layer", counting)
-    monkeypatch.setattr(routing, "_score_candidate", checked)
+    monkeypatch.setattr(routing, "_score_edges", checked)
     cmap = grid_map(8, 8)
     rng = np.random.default_rng(5)
     circ = random_circuit(rng, 64, 80, 0)
@@ -271,11 +290,112 @@ def test_route_reuses_extended_layer_only_while_front_is_unchanged(monkeypatch):
     assert all(a != b for a, b in zip(computed, computed[1:]))
 
 
+# -- the incremental loop against the from-scratch reference ---------------------
+
+
+def op_record(outcome):
+    ops = [(op.gate, op.node_id, op.is_swap, op.label, op.deleted) for op in outcome.ops]
+    return (ops, outcome.final_mapping.log_to_phys, outcome.swaps_inserted,
+            outcome.swaps_opt_2q, outcome.swaps_opt_commute)
+
+
+def routed_both_ways(circuit, cmap, cfg, layout, seed):
+    """(route's record, the reference loop's record) on the same inputs."""
+    dag = _annotate_for_routing(circuit)
+    dist = distance_matrix_for(cmap, cfg)
+    new = route(dag, cmap, dist, cfg, QubitMapping(list(layout)),
+                np.random.default_rng(seed))
+    ref = reference_route(dag, cmap, dist, cfg, QubitMapping(list(layout)),
+                          np.random.default_rng(seed))
+    return op_record(new), op_record(ref)
+
+
+def reference_case(device, rng):
+    """A seeded (circuit, coupling map, noise profile) on one device."""
+    if device == "montreal":
+        return random_circuit(rng, 27, 60, 40), montreal_map(), None
+    if device == "grid88":
+        return random_circuit(rng, 64, 80, 40), grid_map(8, 8), None
+    cmap = grid_map(2, 5)
+    return random_circuit(rng, 10, 60, 30), cmap, random_noise(cmap, rng)
+
+
+@pytest.mark.parametrize("algorithm", [SABRE, NASSC])
+@pytest.mark.parametrize("extended_size", [0, 20])
+@pytest.mark.parametrize("device", ["montreal", "grid88", "noisy_grid25"])
+def test_route_matches_reference_loop(device, extended_size, algorithm):
+    swaps = opt_2q = opt_commute = 0
+    for seed in range(3):
+        rng = np.random.default_rng([seed, extended_size, 7])
+        circ, cmap, noise = reference_case(device, rng)
+        cfg = RouterConfig(algorithm=algorithm, extended_size=extended_size,
+                           noise_profile=noise)
+        layout = [int(p) for p in rng.permutation(cmap.num_physical_qubits)]
+        new, ref = routed_both_ways(circ, cmap, cfg, layout, seed)
+        assert new == ref
+        swaps += new[2]
+        opt_2q += new[3]
+        opt_commute += new[4]
+    assert swaps > 0
+    if algorithm == NASSC:  # the predictions steered some SWAPs
+        assert opt_2q > 0 and opt_commute > 0
+
+
+def test_route_matches_reference_loop_through_stall_fallback(monkeypatch):
+    resolve = routing._greedy_resolve
+    fired = []
+
+    def counting(state, nid, dist):
+        fired.append(nid)
+        return resolve(state, nid, dist)
+
+    monkeypatch.setattr(routing, "_greedy_resolve", counting)
+    cmap = linear_map(6)
+    # a heavy lookahead makes the cost search cycle on a line
+    cfg = RouterConfig(algorithm=NASSC, extended_weight=10.0)
+    for seed in range(8):
+        rng = np.random.default_rng([seed, 11])
+        circ = random_circuit(rng, 6, 12, 4)
+        layout = [int(p) for p in rng.permutation(6)]
+        new, ref = routed_both_ways(circ, cmap, cfg, layout, seed)
+        assert new == ref
+    assert fired
+
+
+def test_route_serves_cached_predictions_equal_to_fresh_ones(monkeypatch):
+    score = routing._score_edges
+    served = {"hit": 0, "miss": 0}
+
+    def checked(state, edges, front, extended, cfg):
+        for u, v in edges:
+            entry = state.predictions.get((u, v))
+            fresh = entry is not None and entry[:2] == (state.version[u], state.version[v])
+            served["hit" if fresh else "miss"] += 1
+        costs = score(state, edges, front, extended, cfg)
+        for edge, cost in zip(edges, costs):
+            ref = score_candidate(state, edge, front, extended, cfg)
+            assert state.predict(*edge) == (ref.c2q, ref.ccommute1, ref.ccommute2,
+                                            ref.label, ref.prev_swap_entry)
+            assert cost == ref.cost
+        return costs
+
+    monkeypatch.setattr(routing, "_score_edges", checked)
+    cmap = montreal_map()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        circ = random_circuit(rng, 27, 60, 40)
+        cfg = RouterConfig(algorithm=NASSC)
+        mapping = QubitMapping([int(p) for p in rng.permutation(27)])
+        route(_annotate_for_routing(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+              mapping, np.random.default_rng(0))
+    assert served["hit"] > 0 and served["miss"] > 0
+
+
 def test_greedy_resolve_walks_gate_onto_a_coupling():
     cmap = linear_map(5)
     state = make_state(Circuit(5, (cx(0, 4),)), cmap, annotate=False)
     state.drain_front()
-    (nid,) = state.unsatisfied_front()
+    (nid,) = state.front
     dist = distance_matrix_for(cmap, RouterConfig()).tolist()
     assert _greedy_resolve(state, nid, dist) == 3
     assert state.executable(nid)
