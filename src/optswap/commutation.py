@@ -11,12 +11,13 @@ only if it commutes with every member among the first twenty (larger sets
 are searched no deeper than that, so cancellation re-verifies the stretch
 between a candidate pair).
 
-Within one compile the membership decisions are memoized
-(``memo.CompileMemo.commute``), keyed on the pair of ``Gate`` values
-(new gate, set member).  Passes carry untouched gates through unchanged, so
-the same pairs come back in every cancellation round, every optimization
-round and both routing annotations.  The process-wide ``_commute_key``
-cache below stays as it is.
+Within one compile every decision is memoized (``memo.CompileMemo``): each
+pass looks up every node's gate id once, open sets carry the ids, and the
+decision for (new gate, set member), or for a gate against the gates between
+a cancelling pair, is looked up by the id pair.  Passes carry untouched gates
+through unchanged, so the same pairs come back in every cancellation round,
+every optimization round and both routing annotations.  The process-wide
+``_commute_key`` cache below stays as it is.
 """
 
 from __future__ import annotations
@@ -96,20 +97,23 @@ def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> No
     if memo is None:
         memo = CompileMemo()
     known = memo.commute
-    dag.commute_set.clear()
+    gates = [node.gate for node in dag.nodes]
+    ids = [memo.gate_id(gate) for gate in gates]
+    unitary = [gate.is_unitary_gate() for gate in gates]
+    commute_set = dag.commute_set
+    commute_set.clear()
     next_id = 0
     for wire, nodes in enumerate(dag.wires):
-        current: list[int] = []
+        current: list[tuple[int, Gate]] = []  # open set: (gate id, gate)
         current_id = None
         for nid in nodes:
-            gate = dag.nodes[nid].gate
-            joins = bool(current) and gate.is_unitary_gate()
+            gate, gid = gates[nid], ids[nid]
+            joins = bool(current) and unitary[nid]
             if joins:
-                for member in current[:SEARCH_CAP]:
-                    other = dag.nodes[member].gate
-                    commutes = known.get((gate, other))
+                for oid, other in current[:SEARCH_CAP]:
+                    commutes = known.get((gid, oid))
                     if commutes is None:
-                        commutes = known[(gate, other)] = gates_commute(gate, other)
+                        commutes = known[(gid, oid)] = gates_commute(gate, other)
                     if not commutes:
                         joins = False
                         break
@@ -117,20 +121,27 @@ def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> No
                 current_id = next_id
                 next_id += 1
                 current = []
-            current.append(nid)
-            dag.commute_set[(nid, wire)] = current_id
-            if not gate.is_unitary_gate():
+            current.append((gid, gate))
+            commute_set[(nid, wire)] = current_id
+            if not unitary[nid]:
                 # measure/barrier: close the set so nothing commutes across
                 current = []
                 current_id = None
 
 
 def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
-                gate: Gate) -> bool:
+                gate: Gate, memo: CompileMemo) -> bool:
     """Everything strictly between positions i and j on the wire commutes
     with `gate` (guards sets that grew past the membership search cap)."""
+    known = memo.commute
+    gid = memo.gate_id(gate)
     for nid in wire_nodes[i + 1 : j]:
-        if not gates_commute(gate, dag.nodes[nid].gate):
+        other = dag.nodes[nid].gate
+        key = (gid, memo.gate_id(other))
+        commutes = known.get(key)
+        if commutes is None:
+            commutes = known[key] = gates_commute(gate, other)
+        if not commutes:
             return False
     return True
 
@@ -143,7 +154,7 @@ def commutative_cancellation(dag: CircuitDag,
         memo = CompileMemo()
     for _ in range(16):
         commutation_analysis(dag, memo)
-        removed = _cancel_once(dag)
+        removed = _cancel_once(dag, memo)
         if not removed:
             return dag
         gates = [dag.nodes[nid].gate for nid in dag.order if nid not in removed]
@@ -151,7 +162,7 @@ def commutative_cancellation(dag: CircuitDag,
     return dag
 
 
-def _cancel_once(dag: CircuitDag) -> set[int]:
+def _cancel_once(dag: CircuitDag, memo: CompileMemo) -> set[int]:
     removed: set[int] = set()
     for wire, nodes in enumerate(dag.wires):
         by_key: dict[tuple, list[int]] = {}
@@ -170,7 +181,7 @@ def _cancel_once(dag: CircuitDag) -> set[int]:
                 if pending is None:
                     pending = nid
                     continue
-                if self_inverse_pair_cancels(dag, pending, nid):
+                if self_inverse_pair_cancels(dag, pending, nid, memo):
                     removed.add(pending)
                     removed.add(nid)
                     pending = None
@@ -179,7 +190,7 @@ def _cancel_once(dag: CircuitDag) -> set[int]:
     return removed
 
 
-def self_inverse_pair_cancels(dag, nid_a, nid_b) -> bool:
+def self_inverse_pair_cancels(dag, nid_a, nid_b, memo: CompileMemo) -> bool:
     gate = dag.nodes[nid_a].gate
     for wire in gate.qubits:
         sa = dag.commute_set.get((nid_a, wire))
@@ -187,7 +198,7 @@ def self_inverse_pair_cancels(dag, nid_a, nid_b) -> bool:
         if sa is None or sa != sb:
             return False
         i, j = dag.wire_pos[(nid_a, wire)], dag.wire_pos[(nid_b, wire)]
-        if not _between_ok(dag, dag.wires[wire], min(i, j), max(i, j), gate):
+        if not _between_ok(dag, dag.wires[wire], min(i, j), max(i, j), gate, memo):
             return False
     return True
 

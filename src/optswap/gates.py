@@ -11,7 +11,7 @@ first qubit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -45,37 +45,61 @@ SELF_INVERSE_KINDS = frozenset(
 
 _PARAM_ARITY = {GateKind.RZ: 1, GateKind.U3: 3, GateKind.CRX: 1}
 
+# per kind: (qubit count, None for a barrier's any number; param count)
+_SHAPE = {
+    k: (None if k is GateKind.BARRIER else 2 if k in TWO_QUBIT_KINDS else 1,
+        _PARAM_ARITY.get(k, 0))
+    for k in GateKind
+}
+
 
 class GateError(ValueError):
     """Malformed gate (wrong arity, duplicate qubits, bad params)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
+    """One gate.  Params must be finite: gates serve as memo keys, and a NaN
+    param would make a gate unequal to itself.  The hash is computed on
+    first use and kept; it equals the hash of (kind, qubits, params, clbit),
+    the frozen dataclass hash."""
+
     kind: GateKind
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
     clbit: int | None = None  # MEASURE only
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.qubits)) != len(self.qubits):
-            raise GateError(f"duplicate qubits in {self.kind.value}: {self.qubits}")
-        expected = _PARAM_ARITY.get(self.kind, 0)
-        if len(self.params) != expected:
-            raise GateError(
-                f"{self.kind.value} takes {expected} params, got {len(self.params)}"
-            )
-        if self.kind is GateKind.BARRIER:
-            if not self.qubits:
+        kind, qubits, params = self.kind, self.qubits, self.params
+        if len(set(qubits)) != len(qubits):
+            raise GateError(f"duplicate qubits in {kind.value}: {qubits}")
+        num_qubits, arity = _SHAPE[kind]
+        if len(params) != arity:
+            raise GateError(f"{kind.value} takes {arity} params, got {len(params)}")
+        if params and not all(map(math.isfinite, params)):
+            raise GateError(f"{kind.value} params must be finite: {params}")
+        if num_qubits is None:
+            if not qubits:
                 raise GateError("barrier needs at least one qubit")
-        elif self.kind in TWO_QUBIT_KINDS:
-            if len(self.qubits) != 2:
-                raise GateError(f"{self.kind.value} is a two-qubit gate")
-        else:
-            if len(self.qubits) != 1:
-                raise GateError(f"{self.kind.value} is a single-qubit gate")
-        if self.kind is GateKind.MEASURE and self.clbit is None:
+        elif len(qubits) != num_qubits:
+            raise GateError(
+                f"{kind.value} is a {'two' if num_qubits == 2 else 'single'}-qubit gate"
+            )
+        if kind is GateKind.MEASURE and self.clbit is None:
             raise GateError("measure needs a classical bit")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.kind, self.qubits, self.params, self.clbit))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # the kept hash holds string hashes, which differ between processes
+        return (Gate, (self.kind, self.qubits, self.params, self.clbit))
 
     @property
     def num_qubits(self) -> int:

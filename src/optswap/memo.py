@@ -2,10 +2,21 @@
 
 ``full_pipeline`` creates one ``CompileMemo`` and hands it to every pass
 that runs before and after routing; it is dropped when the compile returns.
-The keys are gate content, so a result found once serves every block or gate
-pair with the same content in any later round (``synthesis`` and
-``commutation`` say what each key holds).  Passes called without a memo get
-a fresh one, so they behave as if nothing had been computed before.
+Results are keyed on content, so a result found once serves every block,
+gate pair or 1q run with the same content in any later round:
+
+- ``blocks``: per two-qubit block content, its CNOT counts and re-synthesized
+  gates (``synthesis`` says what the key holds);
+- ``gate_ids``: a small int per distinct ``Gate`` (ids follow ``Gate``
+  equality), so that the decisions below are looked up by ints instead of
+  by re-hashing and comparing gates;
+- ``commute``: per (gate id, gate id), whether the first gate commutes with
+  the second (``commutation.gates_commute``);
+- ``merges``: per run of adjacent 1q gates, what replaces it
+  (``synthesis.merge_1q_runs``).
+
+Passes called without a memo get a fresh one, so they behave as if nothing
+had been computed before.
 """
 
 from __future__ import annotations
@@ -29,4 +40,13 @@ class BlockResults:
 @dataclass
 class CompileMemo:
     blocks: dict[tuple, BlockResults] = field(default_factory=dict)
-    commute: dict[tuple[Gate, Gate], bool] = field(default_factory=dict)
+    gate_ids: dict[Gate, int] = field(default_factory=dict)
+    commute: dict[tuple[int, int], bool] = field(default_factory=dict)
+    merges: dict[tuple, tuple[float, ...] | bool | None] = field(default_factory=dict)
+
+    def gate_id(self, gate: Gate) -> int:
+        """The gate's id in this compile, given on first sight."""
+        gid = self.gate_ids.get(gate)
+        if gid is None:
+            gid = self.gate_ids[gate] = len(self.gate_ids)
+        return gid

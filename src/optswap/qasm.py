@@ -5,7 +5,8 @@ native gate set (id, x, sx, rz, h, y, z, u3, cx, cy, cz, crx, swap), measure
 and barrier.  ``u1``, ``u2``, ``u`` are normalized to u3 and ``ccx`` is
 rewritten into the standard 6-CNOT network at parse time so everything
 downstream sees one canonical gate set.  Angle expressions may use pi, the
-four arithmetic operators, unary minus and parentheses.
+four arithmetic operators, unary minus and nested parentheses; each must
+evaluate to a finite real number.
 """
 
 from __future__ import annotations
@@ -34,23 +35,53 @@ class UnsupportedGate(ParseError):
 _NATIVE = {k.value: k for k in GateKind if k not in (GateKind.MEASURE, GateKind.BARRIER)}
 _REWRITTEN = {"u1", "u2", "u", "ccx"}
 
-_STMT_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)\s*(?:\((?P<params>[^)]*)\))?\s*(?P<args>.*)$"
-)
+_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*")
 _REF_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)(?:\[(\d+)\])?$")
 
 
+def _param_list(text: str, line: int) -> tuple[list[str], str]:
+    """Split ``(a, b, ...) rest`` into its top-level comma-separated params
+    and the rest; parentheses may nest inside a param."""
+    close = text.find(")")
+    if close > 0 and "(" not in text[1:close]:  # nothing nested
+        return text[1:close].split(","), text[close + 1 :]
+    params, depth, start = [], 0, 1
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth == 0:
+                params.append(text[start:i])
+                return params, text[i + 1 :]
+        elif ch == "," and depth == 1:
+            params.append(text[start:i])
+            start = i + 1
+    raise ParseError(line, f"unbalanced parentheses in '{text}'")
+
+
 def _eval_angle(text: str, line: int) -> float:
+    """Value of a parameter expression; a ParseError unless it is a finite
+    real number, as is every value computed on the way."""
     try:
         node = ast.parse(text.strip(), mode="eval").body
-    except SyntaxError:
+    except (SyntaxError, RecursionError):
         raise ParseError(line, f"bad parameter expression '{text}'")
-    return _eval_node(node, line)
+    try:
+        return _eval_node(node, line)
+    except (ZeroDivisionError, OverflowError, RecursionError) as exc:
+        raise ParseError(line, f"parameter expression '{text.strip()}': {exc}") from None
+
+
+def _finite(value, line: int) -> float:
+    if not isinstance(value, float) or not math.isfinite(value):
+        raise ParseError(line, f"parameter value {value!r} is not a finite real number")
+    return value
 
 
 def _eval_node(node: ast.AST, line: int) -> float:
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return float(node.value)
+        return _finite(float(node.value), line)
     if isinstance(node, ast.Name) and node.id == "pi":
         return math.pi
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -62,14 +93,14 @@ def _eval_node(node: ast.AST, line: int) -> float:
         a = _eval_node(node.left, line)
         b = _eval_node(node.right, line)
         if isinstance(node.op, ast.Add):
-            return a + b
+            return _finite(a + b, line)
         if isinstance(node.op, ast.Sub):
-            return a - b
+            return _finite(a - b, line)
         if isinstance(node.op, ast.Mult):
-            return a * b
+            return _finite(a * b, line)
         if isinstance(node.op, ast.Div):
-            return a / b
-        return a**b
+            return _finite(a / b, line)
+        return _finite(a**b, line)  # a negative base can give a complex
     raise ParseError(line, "parameter expressions may only use numbers, pi and + - * / **")
 
 
@@ -197,16 +228,16 @@ class _Parser:
             self.gates.append(Gate(GateKind.MEASURE, (q,), clbit=c))
 
     def _gate(self, stmt: str, line: int):
-        m = _STMT_RE.match(stmt)
+        m = _NAME_RE.match(stmt)
         if not m:
             raise ParseError(line, f"cannot parse statement '{stmt}'")
-        name = m.group("name")
-        params = [
-            _eval_angle(p, line)
-            for p in (m.group("params") or "").split(",")
-            if p.strip()
-        ]
-        arg_groups = self._qubit_args(m.group("args"), line)
+        name = m.group()
+        rest = stmt[m.end() :].lstrip()
+        texts: list[str] = []
+        if rest.startswith("("):
+            texts, rest = _param_list(rest, line)
+        params = [_eval_angle(p, line) for p in texts if p.strip()]
+        arg_groups = self._qubit_args(rest, line)
 
         if name not in _NATIVE and name not in _REWRITTEN:
             raise UnsupportedGate(line, name)

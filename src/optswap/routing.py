@@ -607,7 +607,7 @@ def optimize_circuit(circuit: Circuit, rounds: int = 10,
         before = circuit.gates
         circuit = resynthesize_blocks(circuit, memo)
         dag = commutative_cancellation(build_dag(circuit), memo)
-        dag = merge_1q_runs(dag)
+        dag = merge_1q_runs(dag, memo)
         circuit = dag.to_circuit()
         if circuit.gates == before:
             break

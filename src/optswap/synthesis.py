@@ -18,7 +18,8 @@ CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
 on the local pair (0, 1) are stored, each on first need; no matrix is kept.
 Synthesis seeds its own rng and reaches the pair only through the qubit
 labels of the gates it emits, so remapping the stored gates onto the real
-pair gives what synthesizing on that pair gives.
+pair gives what synthesizing on that pair gives.  Likewise a 1q run's merge
+is stored under the run's kinds and params (``_run_key``), without its wire.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .gates import (
     rx_matrix,
     rz_matrix,
     u3_gate_from_matrix,
+    u3_params,
 )
 from .memo import BlockResults, CompileMemo
 
@@ -505,12 +507,16 @@ def predict_c2q(dag: CircuitDag, pred_a: int | None, pred_b: int | None) -> int:
 # -- single-qubit run merging -------------------------------------------------
 
 
-def merge_1q_runs(dag: CircuitDag) -> CircuitDag:
+def merge_1q_runs(dag: CircuitDag, memo: CompileMemo | None = None) -> CircuitDag:
     """Fuse maximal runs of adjacent 1q gates on each wire into one u3.
 
     Runs of length >= 2 become a single u3 (dropped entirely when the product
     is the identity up to phase); lone identity-like gates are dropped too.
+    Each distinct run is merged once per compile (``memo.merges``).
     """
+    if memo is None:
+        memo = CompileMemo()
+    merges = memo.merges
     circuit = dag.to_circuit()
     consumed: set[int] = set()
     replacement: dict[int, Gate | None] = {}
@@ -521,9 +527,19 @@ def merge_1q_runs(dag: CircuitDag) -> CircuitDag:
             if gate is not None and gate.num_qubits == 1 and gate.is_unitary_gate():
                 run.append(nid)
                 continue
-            if run:
-                _merge_run(dag, run, q, consumed, replacement)
-                run = []
+            if not run:
+                continue
+            gates = [dag.nodes[n].gate for n in run]
+            key = _run_key(gates)
+            merged = merges.get(key, _UNSEEN)
+            if merged is _UNSEEN:
+                merged = merges[key] = _merge_run(gates)
+            if merged is None:
+                replacement[run[0]] = None
+            elif merged is not True:
+                replacement[run[0]] = Gate(GateKind.U3, (q,), merged)
+            consumed.update(run[1:])
+            run = []
     gates = []
     for pos, nid in enumerate(dag.order):
         if nid in consumed:
@@ -536,19 +552,29 @@ def merge_1q_runs(dag: CircuitDag) -> CircuitDag:
     return CircuitDag(circuit.with_gates(gates))
 
 
-def _merge_run(dag, run, qubit, consumed, replacement):
-    if len(run) == 1:
-        m = gate_matrix(dag.nodes[run[0]].gate)
-        if is_identity_up_to_phase(m, 1e-10):
-            replacement[run[0]] = None
-        return
+_UNSEEN = object()
+
+
+def _run_key(gates: list[Gate]) -> tuple:
+    """A run's content: per gate, its kind and params.  A zero param also
+    keeps its sign: 0.0 == -0.0, but their matrices differ in signed zeros,
+    which ``np.angle`` can read as +pi or -pi."""
+    return tuple(
+        (g.kind, g.params if 0.0 not in g.params
+         else tuple((p, math.copysign(1.0, p)) for p in g.params))
+        for g in gates
+    )
+
+
+def _merge_run(gates: list[Gate]) -> tuple[float, float, float] | bool | None:
+    """What replaces a run of adjacent 1q gates on one wire (oldest first):
+    None drops it, True keeps a lone gate as it is, and otherwise the run
+    becomes one u3 with the returned params."""
+    if len(gates) == 1:
+        return None if is_identity_up_to_phase(gate_matrix(gates[0]), 1e-10) else True
     m = np.eye(2, dtype=complex)
-    for nid in run:
-        m = gate_matrix(dag.nodes[nid].gate) @ m
-    first = run[0]
-    for nid in run[1:]:
-        consumed.add(nid)
+    for gate in gates:
+        m = gate_matrix(gate) @ m
     if is_identity_up_to_phase(m, 1e-10):
-        replacement[first] = None
-    else:
-        replacement[first] = u3_gate_from_matrix(m, qubit)
+        return None
+    return u3_params(m)[:3]

@@ -217,3 +217,7 @@ def test_cli_errors_are_exit_codes(tmp_path, capsys):
     assert main(["route", "--in", str(bad), "--coupling", "linear(3)",
                  "--out", str(tmp_path / "x.qasm")]) == 2
     assert "error: UnsupportedGate: line 1: " in capsys.readouterr().err
+    bad.write_text("OPENQASM 2.0; qreg q[2];\nrz(pi/0) q[0];")
+    assert main(["route", "--in", str(bad), "--coupling", "linear(3)",
+                 "--out", str(tmp_path / "x.qasm")]) == 2
+    assert "error: ParseError: line 2: " in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -139,6 +141,27 @@ def test_gate_validation():
         Gate(GateKind.H, (0, 1))
     with pytest.raises(GateError):
         Gate(GateKind.MEASURE, (0,))  # no classical bit
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(GateError):
+            Gate(GateKind.RZ, (0,), (bad,))
+        with pytest.raises(GateError):
+            Gate(GateKind.U3, (0,), (0.1, bad, 0.2))
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(GateKind.CX, (3, 1)),
+    Gate(GateKind.RZ, (0,), (-0.0,)),
+    Gate(GateKind.U3, (2,), (0.5, np.float64(-1.25), 3.0)),
+    Gate(GateKind.MEASURE, (1,), clbit=4),
+    Gate(GateKind.BARRIER, (0, 2, 1)),
+])
+def test_gate_hash_is_the_dataclass_hash(gate):
+    assert hash(gate) == hash((gate.kind, gate.qubits, gate.params, gate.clbit))
+    assert hash(gate) == hash(gate)  # kept, and still the same
+    again = pickle.loads(pickle.dumps(gate))
+    assert again == gate and hash(again) == hash(gate)
+    assert copy.deepcopy(gate) == gate
+    assert not hasattr(gate, "__dict__")
 
 
 def test_remapped():

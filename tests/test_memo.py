@@ -15,6 +15,7 @@ import pytest
 import optswap
 from optswap import routing
 from optswap.circuit import Circuit
+from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
 from optswap.memo import CompileMemo
 from optswap.qasm import serialize_qasm
@@ -28,6 +29,7 @@ from optswap.routing import (
     resynthesize_blocks,
 )
 from optswap.sim import circuit_unitary
+from optswap.synthesis import merge_1q_runs
 from optswap.topology import grid_map
 
 from conftest import phase_distance
@@ -41,7 +43,8 @@ class _Forgetful(dict):
 
 
 def forgetful() -> CompileMemo:
-    return CompileMemo(blocks=_Forgetful(), commute=_Forgetful())
+    return CompileMemo(blocks=_Forgetful(), gate_ids=_Forgetful(),
+                       commute=_Forgetful(), merges=_Forgetful())
 
 
 def random_cx(rng, n, count):
@@ -163,6 +166,60 @@ def test_signed_zero_rotations_share_an_entry_with_the_same_output(zero_first):
     assert len(memo.blocks) == 1
     assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
     assert_memo_changes_nothing(circ)
+
+
+def merged_with_and_without_memo(circuits):
+    """merge_1q_runs over each circuit with one memo for all of them, and
+    with a memo that never stores; asserts the outputs are the same."""
+    memo = CompileMemo()
+    for circuit in circuits:
+        got = merge_1q_runs(build_dag(circuit), memo).to_circuit()
+        want = merge_1q_runs(build_dag(circuit), forgetful()).to_circuit()
+        assert_same_circuit(got, want)
+    return memo
+
+
+def random_1q_runs(rng, n, count, pool):
+    """Gates drawn from `pool` (1q gates on qubit 0) put on random wires,
+    with a CX now and then to end runs."""
+    gates = []
+    for _ in range(count):
+        if rng.random() < 0.15:
+            gates.append(Gate(GateKind.CX, tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+        else:
+            gates.append(pool[int(rng.integers(len(pool)))].remapped([int(rng.integers(n))]))
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_memo_keeps_random_angle_merges(seed):
+    rng = np.random.default_rng([seed, 1])
+    angles = rng.uniform(-math.pi, math.pi, 6)
+    pool = [Gate(GateKind.H, (0,)), Gate(GateKind.SX, (0,)), Gate(GateKind.X, (0,)),
+            Gate(GateKind.RZ, (0,), (angles[0],)), Gate(GateKind.RZ, (0,), (-angles[0],)),
+            Gate(GateKind.U3, (0,), tuple(angles[1:4])),
+            Gate(GateKind.U3, (0,), (angles[4], 0.0, -angles[5]))]
+    circ = random_1q_runs(rng, 4, 300, pool)
+    memo = merged_with_and_without_memo([circ, circ.with_gates(circ.gates[::-1])])
+    assert memo.merges
+
+
+def test_merge_memo_keeps_the_sign_of_zero_params():
+    pool = [Gate(GateKind.H, (0,)), Gate(GateKind.Y, (0,)), Gate(GateKind.Z, (0,))]
+    for z1 in (0.0, -0.0):
+        for z2 in (0.0, -0.0):
+            pool += [Gate(GateKind.RZ, (0,), (z1,)),
+                     Gate(GateKind.U3, (0,), (z1, z2, 0.0)),
+                     Gate(GateKind.U3, (0,), (math.pi, z1, -z2)),
+                     Gate(GateKind.U3, (0,), (0.7, z2, z1))]
+    circ = random_1q_runs(np.random.default_rng(3), 3, 400, pool)
+    merged_with_and_without_memo([circ, circ.with_gates(circ.gates[::-1])])
+    # runs that differ only in the sign of a zero param are merged apart
+    runs = [[Gate(GateKind.H, (q,)), Gate(GateKind.RZ, (q,), (z1,)),
+             Gate(GateKind.U3, (q,), (0.4, z2, 0.0))]
+            for q, (z1, z2) in enumerate([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])]
+    memo = merged_with_and_without_memo([Circuit(4, tuple(g for run in runs for g in run))])
+    assert len(memo.merges) == 4
 
 
 def _module_state():

@@ -27,6 +27,21 @@ def test_parse_angle_arithmetic():
     assert c.gates[1].params == (0.25,)
 
 
+@pytest.mark.parametrize(
+    "stmt, params",
+    [
+        ("u3(-(pi/2),0,pi) q[0];", (-math.pi / 2, 0.0, math.pi)),
+        ("rz((pi/2)) q[0];", (math.pi / 2,)),
+        ("rz(2*(pi+1)) q[0];", (2 * (math.pi + 1),)),
+        ("u3( (1) , ((2)), 3*(1-(2-pi)) ) q[0];", (1.0, 2.0, 3 * (1 - (2 - math.pi)))),
+        ("rz (0.5) q[0];", (0.5,)),
+    ],
+)
+def test_parse_nested_parentheses(stmt, params):
+    c = parse_qasm("OPENQASM 2.0; qreg q[1]; " + stmt)
+    assert c.gates[0].params == params
+
+
 def test_ccx_rewritten_to_exact_toffoli():
     c = parse_qasm("OPENQASM 2.0; qreg q[3]; ccx q[0],q[1],q[2];")
     cx_count = sum(1 for g in c.gates if g.kind is GateKind.CX)
@@ -79,6 +94,20 @@ def test_unsupported_gate_raises_with_line():
         "OPENQASM 2.0; qreg q[1]; rz(sin(1)) q[0];",
         "OPENQASM 3.0; qreg q[1];",
         "OPENQASM 2.0; qreg q[2]; if (c==1) x q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz((pi/2) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(pi/2)) q[0];",
+        # angles that are not finite real numbers
+        "OPENQASM 2.0; qreg q[1]; rz(pi/0) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(0**-1) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(2**5000) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(10**400) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(1e400) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(1/1e400) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(1e308*10) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(1e400-1e400) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz((-1)**0.5) q[0];",
+        "OPENQASM 2.0; qreg q[1]; u3(0,1" + "0" * 400 + ",0) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(" + "1+" * 3000 + "1) q[0];",
     ],
 )
 def test_parse_errors(text):
