@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     bench["runs"] = [r for r in bench["runs"] if r["label"] != args.label]
     bench["runs"].append({
         "label": args.label,
-        "git_revision": sorted(revisions, key=str)[0] if len(revisions) == 1 else None,
+        "git_revision": revisions.pop() if len(revisions) == 1 else None,
         "seconds": seconds,
         "records": records,
     })
