@@ -2,17 +2,16 @@
 """Record one checkout's benchmark results in BENCH_<n>.json.
 
     python3 scripts/bench_record.py N --label LABEL [--checkout DIR]
-                                    [--seed S] [--seconds T]
 
 Runs ``perfbench/run.py`` of the checkout DIR (default: the checkout this
-script sits in) for every workload its BENCHMARK.json declares, at seed S,
-once with ``--trace 0`` and once with ``--trace 1``.  Each run's last two
-lines of output, the environment line (with the git revision the run saw)
-and the result object, are stored under LABEL in BENCH_<N>.json at the root
-of the checkout this script sits in; a run of the same label already in the
-file is replaced, others are kept.  So one file can hold a change and its
-parent: run the script once per checkout.  Run length defaults to the
-declared ``run_seconds``.  Exits 1 if any run failed; its error is recorded.
+script sits in) for every workload its BENCHMARK.json declares, at seed 1
+for the declared ``run_seconds``, once with ``--trace 0`` and once with
+``--trace 1``.  Each run's last two lines of output, the environment line
+(with the git revision the run saw) and the result object, are stored under
+LABEL in BENCH_<N>.json at the root of the checkout this script sits in; a
+run of the same label already in the file is replaced, others are kept.  So
+one file can hold a change and its parent: run the script once per checkout.
+Exits 1 if any run failed; its error is recorded.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
 
 
 def run_one(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -47,17 +47,15 @@ def main(argv=None) -> int:
     ap.add_argument("n", type=int, help="number of the BENCH_<n>.json file")
     ap.add_argument("--label", required=True, help="name of this run, e.g. parent")
     ap.add_argument("--checkout", type=Path, default=ROOT)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=None)
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     records = []
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            records.append(run_one(checkout, workload, args.seed, seconds, trace))
+            records.append(run_one(checkout, workload, SEED, seconds, trace))
             print(f"{workload} trace={trace}: "
                   f"{'failed' if 'error' in records[-1] else 'ok'}", file=sys.stderr)
     revisions = {r["environment"]["env"]["git_revision"] for r in records if "environment" in r}

@@ -42,9 +42,6 @@ _REF_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)(?:\[(\d+)\])?$")
 def _param_list(text: str, line: int) -> tuple[list[str], str]:
     """Split ``(a, b, ...) rest`` into its top-level comma-separated params
     and the rest; parentheses may nest inside a param."""
-    close = text.find(")")
-    if close > 0 and "(" not in text[1:close]:  # nothing nested
-        return text[1:close].split(","), text[close + 1 :]
     params, depth, start = [], 0, 1
     for i, ch in enumerate(text):
         if ch == "(":
@@ -65,8 +62,8 @@ def _eval_angle(text: str, line: int) -> float:
     real number, as is every value computed on the way."""
     try:
         node = ast.parse(text.strip(), mode="eval").body
-    except (SyntaxError, RecursionError):
-        raise ParseError(line, f"bad parameter expression '{text}'")
+    except (SyntaxError, ValueError, RecursionError):  # ValueError: a null byte
+        raise ParseError(line, f"bad parameter expression {text!r}")
     try:
         return _eval_node(node, line)
     except (ZeroDivisionError, OverflowError, RecursionError) as exc:

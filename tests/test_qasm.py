@@ -96,6 +96,7 @@ def test_unsupported_gate_raises_with_line():
         "OPENQASM 2.0; qreg q[2]; if (c==1) x q[0];",
         "OPENQASM 2.0; qreg q[1]; rz((pi/2) q[0];",
         "OPENQASM 2.0; qreg q[1]; rz(pi/2)) q[0];",
+        "OPENQASM 2.0; qreg q[1]; rz(\x00) q[0];",
         # angles that are not finite real numbers
         "OPENQASM 2.0; qreg q[1]; rz(pi/0) q[0];",
         "OPENQASM 2.0; qreg q[1]; rz(0**-1) q[0];",
