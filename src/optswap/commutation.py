@@ -5,7 +5,9 @@ Whether two gates commute is decided numerically: build both gates' matrices
 on their joint support (at most three wires) straight from ``gate_matrix``,
 as a Kronecker product with the identity on the other wires put into wire
 order by one axis permutation, and compare the two products (a handful of
-structural fast paths short-circuit the common cases).  Per wire, gates are
+structural fast paths short-circuit the common cases, and a 1q gate against
+a CX or CZ is decided from the commutator's nonzero entries, which are
+differences of the 1q matrix's entries).  Per wire, gates are
 grouped greedily into contiguous commute sets; a gate joins the current set
 only if it commutes with every member among the first twenty (larger sets
 are searched no deeper than that, so cancellation re-verifies the stretch
@@ -16,7 +18,9 @@ pass looks up every node's gate id once, open sets carry the ids, and the
 decision for (new gate, set member), or for a gate against the gates between
 a cancelling pair, is looked up by the id pair.  Passes carry untouched gates
 through unchanged, so the same pairs come back in every cancellation round,
-every optimization round and both routing annotations.  The process-wide
+every optimization round and both routing annotations.  An id pair new to
+the compile is looked up by its gates' contents and relative wires, so the
+same two gates on other wires are decided once.  The process-wide
 ``_commute_key`` cache below stays as it is.
 """
 
@@ -34,6 +38,11 @@ from .memo import CompileMemo
 SEARCH_CAP = 20
 
 _CONTROLLED = {GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.CRX}
+# a gate of a kind in _ONE_QUBIT against one in _CONTROLLED_PAULI has its
+# commutator read off the 1q matrix (``_commutator_max``)
+_ONE_QUBIT = {GateKind.ID, GateKind.X, GateKind.SX, GateKind.RZ, GateKind.H,
+              GateKind.Y, GateKind.Z, GateKind.U3}
+_CONTROLLED_PAULI = {GateKind.CX, GateKind.CZ}
 
 
 def _embedded(kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...],
@@ -48,11 +57,35 @@ def _embedded(kind: GateKind, qubits: tuple[int, ...], params: tuple[float, ...]
     return tensor.reshape(2**n, 2**n)
 
 
-@lru_cache(maxsize=65536)
-def _commute_key(k1, q1, p1, k2, q2, p2, n) -> bool:
+def _commutator_max(k1, q1, p1, k2, q2, p2, n) -> float:
+    """Largest magnitude in the commutator of two gates on wires 0..n-1.
+
+    A 1q gate against a CX or CZ on the same two wires takes only the
+    commutator's nonzero entries.  The embedded CX and CZ are monomial with
+    entries 0 and +-1, so every entry of both products is one exact product
+    of a 1q entry, and each commutator entry is one subtraction of the same
+    operands as below (up to sign): the result equals the embedded
+    products' bit for bit.  Magnitudes are taken with numpy, whose complex
+    abs differs from Python's ``abs`` in the last bit."""
+    if n == 2 and k2 in _ONE_QUBIT and k1 in _CONTROLLED_PAULI:
+        k1, q1, p1, k2, q2 = k2, q2, p2, k1, q1
+    if n == 2 and k1 in _ONE_QUBIT and k2 in _CONTROLLED_PAULI:
+        u = gate_matrix(Gate(k1, (0,), p1))
+        if k2 is GateKind.CZ:
+            entries = [-u[0, 1] - u[0, 1], u[1, 0] + u[1, 0]]
+        elif q1[0] == q2[0]:  # on CX's control
+            entries = [u[0, 1], u[1, 0]]
+        else:  # on CX's target
+            entries = [u[0, 1] - u[1, 0], u[0, 0] - u[1, 1]]
+        return float(np.abs(np.array(entries)).max())
     a = _embedded(k1, q1, p1, n)
     b = _embedded(k2, q2, p2, n)
-    return bool(np.max(np.abs(a @ b - b @ a)) < 1e-9)
+    return float(np.max(np.abs(a @ b - b @ a)))
+
+
+@lru_cache(maxsize=65536)
+def _commute_key(k1, q1, p1, k2, q2, p2, n) -> bool:
+    return _commutator_max(k1, q1, p1, k2, q2, p2, n) < 1e-9
 
 
 def gates_commute(g1: Gate, g2: Gate) -> bool:
@@ -88,6 +121,22 @@ def gates_commute(g1: Gate, g2: Gate) -> bool:
     return _commute_key(g1.kind, key1, p1, g2.kind, key2, p2, len(wires))
 
 
+def _decide(memo: CompileMemo, gid: int, gate: Gate, oid: int, other: Gate) -> bool:
+    """``gates_commute(gate, other)`` for an id pair new to the compile,
+    decided once per content pair and relative wire pattern: the decision
+    reads nothing else of the two gates.  The wires are relabelled in one
+    tuple; its split is fixed by the first gate's kind, except for a
+    barrier, which commutes with nothing anyway."""
+    qubits = gate.qubits + other.qubits
+    wires = sorted(set(qubits))
+    ids = memo.content_ids
+    key = (ids[gid], ids[oid], tuple(map(wires.index, qubits)))
+    commutes = memo.content_commute.get(key)
+    if commutes is None:
+        commutes = memo.content_commute[key] = gates_commute(gate, other)
+    return commutes
+
+
 def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> None:
     """Group contiguous commuting gates per wire into ``dag.commute_set``,
     the (node, wire) -> set_id map.  Non-unitary nodes form singleton
@@ -113,7 +162,7 @@ def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> No
                 for oid, other in current[:SEARCH_CAP]:
                     commutes = known.get((gid, oid))
                     if commutes is None:
-                        commutes = known[(gid, oid)] = gates_commute(gate, other)
+                        commutes = known[(gid, oid)] = _decide(memo, gid, gate, oid, other)
                     if not commutes:
                         joins = False
                         break
@@ -137,10 +186,10 @@ def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
     gid = memo.gate_id(gate)
     for nid in wire_nodes[i + 1 : j]:
         other = dag.nodes[nid].gate
-        key = (gid, memo.gate_id(other))
-        commutes = known.get(key)
+        oid = memo.gate_id(other)
+        commutes = known.get((gid, oid))
         if commutes is None:
-            commutes = known[key] = gates_commute(gate, other)
+            commutes = known[(gid, oid)] = _decide(memo, gid, gate, oid, other)
         if not commutes:
             return False
     return True

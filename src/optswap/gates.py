@@ -34,6 +34,10 @@ class GateKind(Enum):
     MEASURE = "measure"
     BARRIER = "barrier"
 
+    # Enum hashes by name in Python; members are singletons, so hashing by
+    # identity keeps equality and runs in C (kinds key many memo lookups)
+    __hash__ = object.__hash__
+
 
 TWO_QUBIT_KINDS = frozenset(
     {GateKind.CX, GateKind.CY, GateKind.CZ, GateKind.CRX, GateKind.SWAP}

@@ -12,6 +12,12 @@ gate pair or 1q run with the same content in any later round:
   by re-hashing and comparing gates;
 - ``commute``: per (gate id, gate id), whether the first gate commutes with
   the second (``commutation.gates_commute``);
+- ``content_ids``: per gate id, the id of the gate's content, its kind and
+  its params rounded to 12 places (``contents`` interns them): all that
+  ``gates_commute`` reads of a gate besides its wires;
+- ``content_commute``: per (content id, content id, the two gates' wires
+  relabelled as ``gates_commute`` relabels them), the same decision, so a
+  pair new to ``commute`` is decided once for all wires it appears on;
 - ``merges``: per run of adjacent 1q gates, what replaces it
   (``synthesis.merge_1q_runs``).
 
@@ -43,10 +49,19 @@ class CompileMemo:
     gate_ids: dict[Gate, int] = field(default_factory=dict)
     commute: dict[tuple[int, int], bool] = field(default_factory=dict)
     merges: dict[tuple, tuple[float, ...] | bool | None] = field(default_factory=dict)
+    contents: dict[tuple, int] = field(default_factory=dict)
+    content_ids: list[int] = field(default_factory=list)
+    content_commute: dict[tuple, bool] = field(default_factory=dict)
 
     def gate_id(self, gate: Gate) -> int:
-        """The gate's id in this compile, given on first sight."""
+        """The gate's id in this compile, given on first sight, when its
+        content id is found too."""
         gid = self.gate_ids.get(gate)
         if gid is None:
             gid = self.gate_ids[gate] = len(self.gate_ids)
+            content = (gate.kind, tuple(round(p, 12) for p in gate.params))
+            cid = self.contents.get(content)
+            if cid is None:
+                cid = self.contents[content] = len(self.contents)
+            self.content_ids.append(cid)
         return gid

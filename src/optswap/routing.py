@@ -90,9 +90,12 @@ class RouterConfig:
     def __post_init__(self):
         if self.algorithm not in (SABRE, NASSC):
             raise ValueError(f"unknown algorithm '{self.algorithm}'")
-        size = self.extended_size
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise ValueError(f"extended_size must be a nonnegative integer, got {size!r}")
+        # numpy seeds must be nonnegative; the final routing pass is one of
+        # the traversals
+        for name, least in (("extended_size", 0), ("seed", 0), ("traversals", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         weight = self.extended_weight
         if not math.isfinite(weight) or weight < 0:
             # a NaN weight would leave every candidate's cost NaN
@@ -520,7 +523,7 @@ def initial_mapping(
     rng = np.random.default_rng([cfg.seed, 0xA11])
     mapping = QubitMapping([int(p) for p in rng.permutation(n)])
     plain = replace(cfg, b_2q=False, b_commute1=False, b_commute2=False)
-    passes = max(0, cfg.traversals - 1)
+    passes = cfg.traversals - 1
     for i in range(passes):
         dag = fwd_dag if i % 2 == 0 else rev_dag
         pass_cfg = cfg if i == passes - 1 else plain
@@ -575,12 +578,17 @@ def resynthesize_blocks(circuit: Circuit, memo: CompileMemo | None = None) -> Ci
         )
         cx_count = sum(1 for g in gates if g.kind is GateKind.CX)
         res = block_results(memo, gates, blk.qubit_pair)
+        u = None
         if res.cx is None:
-            res.cx = min_cnot_count(block_unitary(blk, dag))
+            u = block_unitary(blk, dag)
+            res.cx = min_cnot_count(u)
         if not has_foreign and res.cx >= cx_count:
             continue
         if res.gates is None:
-            res.gates = kak_synthesize(block_unitary(blk, dag), (0, 1), 2).gates
+            # the key holds all pair_unitary reads, so res.cx is u's count
+            if u is None:
+                u = block_unitary(blk, dag)
+            res.gates = kak_synthesize(u, (0, 1), 2, res.cx).gates
         # Anchor the replacement at the first two-qubit member: leading 1q
         # members were collected before it but nothing else touches their
         # wire in between, so sliding them down to the anchor is sound.

@@ -344,12 +344,15 @@ def _random_local(rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None = None) -> Circuit:
-    """Circuit on `pair` equal to u up to global phase, with minimal CNOTs."""
+def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None = None,
+                   count: int | None = None) -> Circuit:
+    """Circuit on `pair` equal to u up to global phase, with minimal CNOTs;
+    `count`, if given, is ``min_cnot_count(u)``, already known."""
     u = _check_unitary(u)
     if num_qubits is None:
         num_qubits = max(pair) + 1
-    count = min_cnot_count(u)
+    if count is None:
+        count = min_cnot_count(u)
     builders = {0: _ops_0, 1: _ops_1, 2: _ops_2, 3: _ops_3}
     rng = np.random.default_rng(0x5EED)
     for attempt in range(24):

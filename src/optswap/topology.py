@@ -149,19 +149,24 @@ def resolve_coupling(spec: str) -> CouplingMap:
 
 
 def all_pairs_distance(cmap: CouplingMap) -> np.ndarray:
-    """BFS hop counts between every pair of physical qubits."""
+    """BFS hop counts between every pair of physical qubits.  The searches
+    run on Python lists: indexing a numpy array per step costs several times
+    the step."""
     n = cmap.num_physical_qubits
     adj = cmap.adjacency()
-    dist = np.full((n, n), -1.0)
+    rows = []
     for src in range(n):
-        dist[src, src] = 0.0
+        row = [-1.0] * n
+        row[src] = 0.0
         queue = deque([src])
         while queue:
             u = queue.popleft()
             for v in adj[u]:
-                if dist[src, v] < 0:
-                    dist[src, v] = dist[src, u] + 1.0
+                if row[v] < 0:
+                    row[v] = row[u] + 1.0
                     queue.append(v)
+        rows.append(row)
+    dist = np.array(rows, dtype=float).reshape(n, n)
     if (dist < 0).any():
         raise DisconnectedGraph("coupling map is not connected")
     return dist
@@ -226,19 +231,22 @@ def noise_distance(cmap: CouplingMap, profile: NoiseProfile) -> np.ndarray:
             )
         adj[a].append((b, w))
         adj[b].append((a, w))
-    dist = np.full((n, n), np.inf)
+    rows = []
     for src in range(n):
-        dist[src, src] = 0.0
+        row = [math.inf] * n
+        row[src] = 0.0
         heap = [(0.0, src)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > dist[src, u]:
+            if d > row[u]:
                 continue
             for v, w in adj[u]:
                 nd = d + w
-                if nd < dist[src, v] - 1e-15:
-                    dist[src, v] = nd
+                if nd < row[v] - 1e-15:
+                    row[v] = nd
                     heapq.heappush(heap, (nd, v))
+        rows.append(row)
+    dist = np.array(rows, dtype=float).reshape(n, n)
     if np.isinf(dist).any():
         raise DisconnectedGraph("coupling map is not connected")
     return dist

@@ -5,7 +5,10 @@ for tests.
 simulator, the way ``commutation`` built its commutation matrices before it
 built them from ``gate_matrix`` directly.  ``commutation._embedded`` must
 give the same matrix (``np.array_equal``: equal values, signed zeros aside),
-and ``commutation._commute_key`` the same decision as ``reference_commute``.
+``commutation._commutator_max`` the same magnitude as
+``reference_commutator_max`` (including the pairs it decides without
+matrices), and ``commutation._commute_key`` the same decision as
+``reference_commute``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,11 @@ def simulated_embedding(kind: GateKind, qubits: tuple[int, ...],
     return u
 
 
-def reference_commute(k1, q1, p1, k2, q2, p2, n) -> bool:
+def reference_commutator_max(k1, q1, p1, k2, q2, p2, n) -> float:
     a = simulated_embedding(k1, q1, p1, n)
     b = simulated_embedding(k2, q2, p2, n)
-    return bool(np.max(np.abs(a @ b - b @ a)) < 1e-9)
+    return float(np.max(np.abs(a @ b - b @ a)))
+
+
+def reference_commute(k1, q1, p1, k2, q2, p2, n) -> bool:
+    return reference_commutator_max(k1, q1, p1, k2, q2, p2, n) < 1e-9

@@ -114,6 +114,15 @@ def test_bench_spec_loader(tmp_path):
     assert with_large.circuits == ["grover_n4", "vqe_n8"]
 
 
+@pytest.mark.parametrize("entry", [{"traversals": 2.5}, {"seed": -1}])
+def test_bench_spec_rejects_bad_router_values(tmp_path, entry):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"circuits": ["grover_n4"],
+                                     "routers": [{"algorithm": "nassc", **entry}]}))
+    with pytest.raises(ValueError, match=next(iter(entry))):
+        load_bench_spec(spec_file)
+
+
 def test_router_tag_marks_disabled_flags(tmp_path):
     spec = BenchSpec(
         circuits=["grover_n4"],

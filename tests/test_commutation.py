@@ -5,6 +5,7 @@ import numpy as np
 
 from optswap.circuit import Circuit
 from optswap.commutation import (
+    _commutator_max,
     _commute_key,
     _embedded,
     commutation_analysis,
@@ -18,7 +19,11 @@ from optswap.gates import _PARAM_ARITY, Gate, GateKind
 from optswap.sim import circuit_unitary
 
 from conftest import phase_distance
-from embed_reference import reference_commute, simulated_embedding
+from embed_reference import (
+    reference_commutator_max,
+    reference_commute,
+    simulated_embedding,
+)
 
 
 def cx(a, b):
@@ -97,6 +102,50 @@ def test_commute_key_matches_simulated_reference(rng):
             assert _commute_key(*case) == want, case
             decisions.add(want)
         assert decisions == {True, False}
+
+
+def _params_near_threshold(kind, rng):
+    """Random angles, then angles that bring a 1q gate's commutator with a
+    CX or CZ near the 1e-9 threshold: theta of 1e-12..1e-7 and, for the
+    target of a CX, phi + lambda as near 0."""
+    def tiny():
+        return float(rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -7))
+
+    def angle():
+        return float(rng.uniform(-np.pi, np.pi))
+
+    if kind is GateKind.RZ:
+        return [(angle(),) for _ in range(10)] + [(tiny(),) for _ in range(30)]
+    if kind is GateKind.U3:
+        cases = [(angle(), angle(), angle()) for _ in range(10)]
+        cases += [(tiny(), angle(), angle()) for _ in range(15)]
+        for _ in range(30):
+            phi = angle()
+            cases.append((tiny(), phi, -phi + tiny()))
+        return cases
+    return [()]
+
+
+def test_commutator_of_1q_gate_and_controlled_pauli_matches_embedding(rng):
+    """Every 1q kind against CX and CZ, with the 1q gate on either wire, the
+    2q gate either way round, in both argument orders: the magnitude read
+    off the 1q matrix equals the embedded products' bit for bit, and so
+    does the decision."""
+    near, decisions = 0, set()
+    for kind in _ONE_Q:
+        for pauli in (GateKind.CX, GateKind.CZ):
+            for params in _params_near_threshold(kind, rng):
+                for wire in (0, 1):
+                    for pair in ((0, 1), (1, 0)):
+                        one, two = (kind, (wire,), params), (pauli, pair, ())
+                        for case in (one + two + (2,), two + one + (2,)):
+                            want = reference_commutator_max(*case)
+                            assert _commutator_max(*case) == want, case
+                            assert _commute_key.__wrapped__(*case) == (want < 1e-9), case
+                            decisions.add(want < 1e-9)
+                            near += 1e-11 < want < 1e-7
+    assert decisions == {True, False}
+    assert near > 500
 
 
 def test_shared_target_cx_commute():

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import optswap
-from optswap import routing
+from optswap import commutation, routing
 from optswap.circuit import Circuit
+from optswap.commutation import commutation_analysis
 from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
 from optswap.memo import CompileMemo
@@ -43,8 +44,12 @@ class _Forgetful(dict):
 
 
 def forgetful() -> CompileMemo:
+    """A memo that stores nothing.  Its gate ids are all 0 and so are its
+    content ids; ``content_ids`` is a plain list, which then holds only
+    zeros."""
     return CompileMemo(blocks=_Forgetful(), gate_ids=_Forgetful(),
-                       commute=_Forgetful(), merges=_Forgetful())
+                       commute=_Forgetful(), merges=_Forgetful(),
+                       contents=_Forgetful(), content_commute=_Forgetful())
 
 
 def random_cx(rng, n, count):
@@ -88,7 +93,7 @@ def assert_memo_changes_nothing(circuit: Circuit):
     memo = CompileMemo()
     got, got_dags = optimize_and_annotate(circuit, memo)
     want, want_dags = optimize_and_annotate(circuit, forgetful())
-    assert memo.blocks and memo.commute
+    assert memo.blocks and memo.commute and memo.content_commute
     assert_same_circuit(got, want)
     for dag, ref in zip(got_dags, want_dags):
         assert dag.block_id == ref.block_id
@@ -166,6 +171,56 @@ def test_signed_zero_rotations_share_an_entry_with_the_same_output(zero_first):
     assert len(memo.blocks) == 1
     assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
     assert_memo_changes_nothing(circ)
+
+
+def counted_commute_calls(monkeypatch) -> list:
+    calls = []
+    decide = commutation.gates_commute
+
+    def counted(g1, g2):
+        calls.append((g1, g2))
+        return decide(g1, g2)
+
+    monkeypatch.setattr(commutation, "gates_commute", counted)
+    return calls
+
+
+def analysed_with_and_without_memo(circuit: Circuit):
+    """Commute sets from commutation_analysis with a memo and with a memo
+    that never stores; asserts they are the same."""
+    dag, ref = build_dag(circuit), build_dag(circuit)
+    commutation_analysis(dag, CompileMemo())
+    commutation_analysis(ref, forgetful())
+    assert dag.commute_set == ref.commute_set
+    return dag.commute_set
+
+
+def test_commute_decisions_are_shared_by_wires_with_the_same_pattern(monkeypatch):
+    calls = counted_commute_calls(monkeypatch)
+    # on each pair: wire a sees (cx, rz), wire a + 1 sees (x, cx)
+    gates = []
+    for a in (0, 2, 4, 6):
+        gates += [Gate(GateKind.RZ, (a,), (0.3,)), Gate(GateKind.CX, (a, a + 1)),
+                  Gate(GateKind.X, (a + 1,))]
+    circ = Circuit(8, tuple(gates))
+    commutation_analysis(build_dag(circ), CompileMemo())
+    assert len(calls) == 2
+    commutation_analysis(build_dag(circ), forgetful())
+    assert len(calls) == 2 + 8
+    analysed_with_and_without_memo(circ)
+
+
+def test_commute_decisions_keep_the_relative_wires(monkeypatch):
+    calls = counted_commute_calls(monkeypatch)
+    # the same two contents: on wire 1 a control meets a target, on wire 3
+    # two CXs share their control
+    cx = [Gate(GateKind.CX, pair) for pair in ((0, 1), (1, 2), (3, 4), (3, 5))]
+    circ = Circuit(6, tuple(cx))
+    commutation_analysis(build_dag(circ), CompileMemo())
+    assert len(calls) == 2  # one per pattern
+    sets = analysed_with_and_without_memo(circ)
+    assert sets[(0, 1)] != sets[(1, 1)]
+    assert sets[(2, 3)] == sets[(3, 3)]
 
 
 def merged_with_and_without_memo(circuits):

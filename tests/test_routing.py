@@ -101,6 +101,25 @@ def test_router_config_rejects_bad_extended_size(size):
         RouterConfig(extended_size=size)
 
 
+@pytest.mark.parametrize("field, value", [
+    # numpy leaked "expected non-negative integer" or "seed must be integer"
+    ("seed", -1), ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", None),
+    # a float or string raised TypeError; a count below 1 ran no layout pass
+    ("traversals", 2.5), ("traversals", "3"), ("traversals", False),
+    ("traversals", 0), ("traversals", -4),
+])
+def test_router_config_rejects_bad_seed_or_traversals(field, value):
+    with pytest.raises(ValueError, match=field):
+        RouterConfig(**{field: value})
+
+
+def test_one_traversal_routes_from_the_random_start():
+    circ = Circuit(4, (cx(0, 3), cx(1, 2), cx(0, 2)))
+    res = full_pipeline(circ, linear_map(4), RouterConfig(seed=4, traversals=1))
+    start = np.random.default_rng([4, 0xA11]).permutation(4)
+    assert res.initial_mapping == [int(p) for p in start]
+
+
 def test_enumerate_candidates_layered_example():
     # front gate CX(0,2) on a 4-qubit line: edges touching q0 or q2
     cmap = linear_map(4)

@@ -24,6 +24,8 @@ from optswap.topology import (
     noise_distance,
 )
 
+from distance_reference import array_bfs_distance, array_noise_distance
+
 
 def test_linear_edges():
     assert linear_map(3).edges == frozenset({(0, 1), (1, 2)})
@@ -84,6 +86,39 @@ def test_disconnected_graph_detected():
     broken = CouplingMap.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraph):
         all_pairs_distance(broken)
+    with pytest.raises(DisconnectedGraph):
+        noise_distance(broken, NoiseProfile.uniform(broken))
+
+
+def random_connected_map(rng, n: int) -> CouplingMap:
+    """A random spanning tree plus a few random extra edges."""
+    order = [int(q) for q in rng.permutation(n)]
+    edges = {(order[i], order[int(rng.integers(i))]) for i in range(1, n)}
+    for _ in range(int(rng.integers(n))):
+        a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+        edges.add((a, b))
+    return CouplingMap.from_edges(n, edges)
+
+
+def distance_test_maps():
+    rng = np.random.default_rng(7)
+    return ([linear_map(2), linear_map(25), grid_map(2, 5), grid_map(8, 8), montreal_map()]
+            + [random_connected_map(rng, int(rng.integers(2, 40))) for _ in range(12)])
+
+
+def test_distances_equal_the_array_reference():
+    rng = np.random.default_rng(8)
+    for cmap in distance_test_maps():
+        assert np.array_equal(all_pairs_distance(cmap), array_bfs_distance(cmap))
+        edges = cmap.sorted_edges()
+        profile = NoiseProfile(
+            {e: float(rng.uniform(0.005, 0.04)) for e in edges},
+            {e: float(rng.uniform(0.5, 3.0)) for e in edges},
+            (0.5, float(rng.uniform(0.0, 0.3)), 0.5),
+        )
+        got = noise_distance(cmap, profile)
+        assert got.shape == (cmap.num_physical_qubits,) * 2
+        assert np.array_equal(got, array_noise_distance(cmap, profile))
 
 
 def test_noise_distance_uniform_zero_error():
