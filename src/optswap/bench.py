@@ -90,24 +90,42 @@ class BenchSpec:
 
 
 def load_bench_spec(path, include_large: bool = False) -> BenchSpec:
+    """Read a JSON bench spec; a field of the wrong shape is a BenchError
+    that names it."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    routers = []
-    for entry in data.get("routers", [{"algorithm": SABRE}, {"algorithm": NASSC}]):
-        routers.append(router_config_from_dict(entry))
-    circuits = list(data["circuits"])
-    large = list(data.get("large_circuits", []))
+    if not isinstance(data, dict):
+        raise BenchError(f"bench spec must be a JSON object, got {type(data).__name__}")
+    if "circuits" not in data:
+        raise BenchError("bench spec has no circuits")
+    circuits = list(_field(data, "circuits", [], _list_of(str), "a list of strings"))
+    large = list(_field(data, "large_circuits", [], _list_of(str), "a list of strings"))
     if include_large:
         circuits += large
+    routers = _field(data, "routers", [{"algorithm": SABRE}, {"algorithm": NASSC}],
+                     _list_of(dict), "a list of objects")
     return BenchSpec(
         circuits=circuits,
-        topology=data.get("topology", "montreal"),
-        routers=tuple(routers),
-        trials=int(data.get("trials", 10)),
+        topology=_field(data, "topology", "montreal", lambda v: isinstance(v, str), "a string"),
+        routers=tuple(router_config_from_dict(entry) for entry in routers),
+        trials=_field(data, "trials", 10, lambda v: type(v) is int and v >= 1,
+                      "an integer >= 1"),
         output=data.get("output"),
         noise_profile_path=data.get("noise_profile"),
         large_circuits=large,
     )
+
+
+def _list_of(kind: type):
+    return lambda value: isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+
+def _field(data: dict, key: str, default, valid, shape: str):
+    """``data[key]`` (or `default` if absent), which `valid` must accept."""
+    value = data.get(key, default)
+    if not valid(value):
+        raise BenchError(f"{key} must be {shape}, got {value!r}")
+    return value
 
 
 def router_config_from_dict(entry: dict) -> RouterConfig:
@@ -213,8 +231,8 @@ def run_bench(spec: BenchSpec, jobs: int = 1) -> list[BenchRow]:
     baseline: dict[str, BenchRow] = {}
     for (name, circuit, cfg), means in zip(cells, outputs):
         row = BenchRow(name=name, router=_router_tag(cfg), qubits=circuit.num_qubits)
-        if isinstance(means, Exception):  # pragma: no cover - defensive
-            row.error = str(means)
+        if isinstance(means, Exception):
+            row.error = f"{type(means).__name__}: {means}"
             rows.append(row)
             continue
         swaps = means.get("swaps_inserted", 0.0)

@@ -11,7 +11,9 @@ differences of the 1q matrix's entries).  Per wire, gates are
 grouped greedily into contiguous commute sets; a gate joins the current set
 only if it commutes with every member among the first twenty (larger sets
 are searched no deeper than that, so cancellation re-verifies the stretch
-between a candidate pair).
+between a candidate pair).  ``commutative_cancellation`` takes a DAG and
+returns one, like every optimization pass: each round that removes pairs
+goes on with ``CircuitDag.with_gates`` of the gates left.
 
 Within one compile every decision is memoized (``memo.CompileMemo``): each
 pass looks up every node's gate id once, open sets carry the ids, and the
@@ -137,16 +139,14 @@ def _decide(memo: CompileMemo, gid: int, gate: Gate, oid: int, other: Gate) -> b
     return commutes
 
 
-def commutation_analysis(dag: CircuitDag, memo: CompileMemo | None = None) -> None:
+def commutation_analysis(dag: CircuitDag, memo: CompileMemo) -> None:
     """Group contiguous commuting gates per wire into ``dag.commute_set``,
     the (node, wire) -> set_id map.  Non-unitary nodes form singleton
     sets.  Membership checks look at no more than the first SEARCH_CAP
     members of the open set.
     """
-    if memo is None:
-        memo = CompileMemo()
     known = memo.commute
-    gates = [node.gate for node in dag.nodes]
+    gates = dag.gates
     ids = [memo.gate_id(gate) for gate in gates]
     unitary = [gate.is_unitary_gate() for gate in gates]
     commute_set = dag.commute_set
@@ -185,7 +185,7 @@ def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
     known = memo.commute
     gid = memo.gate_id(gate)
     for nid in wire_nodes[i + 1 : j]:
-        other = dag.nodes[nid].gate
+        other = dag.gates[nid]
         oid = memo.gate_id(other)
         commutes = known.get((gid, oid))
         if commutes is None:
@@ -195,19 +195,15 @@ def _between_ok(dag: CircuitDag, wire_nodes: list[int], i: int, j: int,
     return True
 
 
-def commutative_cancellation(dag: CircuitDag,
-                             memo: CompileMemo | None = None) -> CircuitDag:
+def commutative_cancellation(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     """Remove pairs of identical self-inverse gates that can be brought
     together by commutation; repeats until a fixed point."""
-    if memo is None:
-        memo = CompileMemo()
     for _ in range(16):
         commutation_analysis(dag, memo)
         removed = _cancel_once(dag, memo)
         if not removed:
             return dag
-        gates = [dag.nodes[nid].gate for nid in dag.order if nid not in removed]
-        dag = CircuitDag(dag.to_circuit().with_gates(gates))
+        dag = dag.with_gates(g for nid, g in enumerate(dag.gates) if nid not in removed)
     return dag
 
 
@@ -216,7 +212,7 @@ def _cancel_once(dag: CircuitDag, memo: CompileMemo) -> set[int]:
     for wire, nodes in enumerate(dag.wires):
         by_key: dict[tuple, list[int]] = {}
         for nid in nodes:
-            gate = dag.nodes[nid].gate
+            gate = dag.gates[nid]
             if gate.kind not in SELF_INVERSE_KINDS:
                 continue
             if gate.num_qubits == 2 and wire != gate.qubits[0]:
@@ -240,7 +236,7 @@ def _cancel_once(dag: CircuitDag, memo: CompileMemo) -> set[int]:
 
 
 def self_inverse_pair_cancels(dag, nid_a, nid_b, memo: CompileMemo) -> bool:
-    gate = dag.nodes[nid_a].gate
+    gate = dag.gates[nid_a]
     for wire in gate.qubits:
         sa = dag.commute_set.get((nid_a, wire))
         sb = dag.commute_set.get((nid_b, wire))
@@ -294,7 +290,7 @@ def predict_ccommute1(dag, hist_a, hist_b, la, lb, pa, pb):
     for nid in run_a:
         if nid not in common:
             continue
-        gate = dag.nodes[nid].gate
+        gate = dag.gates[nid]
         if gate.kind is GateKind.CX and set(gate.qubits) == {la, lb}:
             control = pa if gate.qubits[0] == la else pb
             return 2, DecompositionLabel(control, "commute1")

@@ -20,9 +20,6 @@ gate pair or 1q run with the same content in any later round:
   pair new to ``commute`` is decided once for all wires it appears on;
 - ``merges``: per run of adjacent 1q gates, what replaces it
   (``synthesis.merge_1q_runs``).
-
-Passes called without a memo get a fresh one, so they behave as if nothing
-had been computed before.
 """
 
 from __future__ import annotations

@@ -173,8 +173,9 @@ class RoutingResult:
 
 class _RouteState:
     """Mutable routing state: emitted ops, per-wire histories (live ops only;
-    1q ops a SWAP moves leave their wire's history), the front layer in
-    topological order, and each coupling edge's cost predictions.
+    1q ops a SWAP moves leave their wire's history), the front layer sorted
+    by node id (source order, which is topological), and each coupling
+    edge's cost predictions.
 
     A physical wire's version is bumped whenever its history or the logical
     qubit on it changes; an edge's predictions read nothing else (beyond the
@@ -188,13 +189,12 @@ class _RouteState:
         self.mapping = mapping
         self.flags = flags
         n = cmap.num_physical_qubits
-        self.node_qubits = [node.gate.qubits for node in dag.nodes]
+        self.node_qubits = [gate.qubits for gate in dag.gates]
         # gates that must sit on a coupling to run
         self.needs_edge = [
-            node.gate.num_qubits == 2 and node.gate.is_unitary_gate()
-            for node in dag.nodes
+            gate.num_qubits == 2 and gate.is_unitary_gate() for gate in dag.gates
         ]
-        self.successors = [dag.successors(nid) for nid in range(len(dag.nodes))]
+        self.successors = [dag.successors(nid) for nid in dag.order]
         self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for edge in cmap.sorted_edges():
             for q in edge:
@@ -204,8 +204,7 @@ class _RouteState:
         self.version = [0] * n
         # edge -> (version of u, version of v, predictions)
         self.predictions: dict[tuple[int, int], tuple] = {}
-        self.topo_pos = {nid: i for i, nid in enumerate(dag.order)}
-        self.pending_preds = [0] * len(dag.nodes)
+        self.pending_preds = [0] * len(dag.gates)
         self.front: list[int] = []
         for nid in dag.order:
             npred = len(dag.predecessors(nid))
@@ -222,8 +221,7 @@ class _RouteState:
 
     def emit_node(self, nid: int) -> list[int]:
         """Emit a front gate; returns the successors it made ready."""
-        gate = self.dag.nodes[nid].gate
-        phys = gate.remapped(self.mapping.log_to_phys)
+        phys = self.dag.gates[nid].remapped(self.mapping.log_to_phys)
         op = RoutedOp(phys, nid, seq=len(self.ops))
         self.ops.append(op)
         for q in phys.qubits:
@@ -234,7 +232,7 @@ class _RouteState:
         for succ in self.successors[nid]:
             self.pending_preds[succ] -= 1
             if self.pending_preds[succ] == 0:
-                insort(self.front, succ, key=self.topo_pos.__getitem__)
+                insort(self.front, succ)
                 ready.append(succ)
         return ready
 
@@ -245,7 +243,7 @@ class _RouteState:
         the front was last drained: only front gates on them can have become
         executable (None checks the whole front).  The layout is fixed during
         a drain, so each later sweep checks only the gates the previous sweep
-        made ready, in topological order, as a full re-sweep would.
+        made ready, in node order, as a full re-sweep would.
         """
         if moved is None:
             sweep = list(self.front)
@@ -259,7 +257,7 @@ class _RouteState:
             for nid in sweep:
                 if self.executable(nid):
                     ready += self.emit_node(nid)
-            ready.sort(key=self.topo_pos.__getitem__)
+            ready.sort()
             sweep = ready
 
     def insert_swap(self, cand: SwapCandidate) -> None:
@@ -325,7 +323,7 @@ class _RouteState:
         return pred
 
     def extended_layer(self, front_2q: list[int], cap: int) -> list[int]:
-        """Closest two-qubit successors of the front, in topological order."""
+        """Closest two-qubit successors of the front, in node order."""
         if cap <= 0:
             return []
         seen = set(front_2q)
@@ -339,7 +337,7 @@ class _RouteState:
                         continue
                     seen.add(succ)
                     nxt.append(succ)
-            nxt.sort(key=self.topo_pos.__getitem__)
+            nxt.sort()
             for nid in nxt:
                 if self.needs_edge[nid]:
                     out.append(nid)
@@ -514,10 +512,11 @@ def initial_mapping(
     """Seeded random bijection refined by alternating forward/reverse routing
     passes; returns the mapping entering the final forward pass.
 
-    The refinement passes run with plain distance costs regardless of the
-    configured algorithm: placement quality is what they are after, and it
-    keeps both routers starting the final pass from the same layout for a
-    given seed.
+    Every refinement pass but the last routes with plain distance costs;
+    the last one routes with ``cfg`` itself, so the layout it hands on
+    depends on the configured algorithm.  Both routers start from the same
+    layout for a given seed only when ``traversals`` is 1, which leaves no
+    refinement pass.
     """
     n = cmap.num_physical_qubits
     rng = np.random.default_rng([cfg.seed, 0xA11])
@@ -557,7 +556,7 @@ def decompose_swaps(ops: list[RoutedOp]) -> list[Gate]:
 # -- optimization passes around routing ----------------------------------------
 
 
-def resynthesize_blocks(circuit: Circuit, memo: CompileMemo | None = None) -> Circuit:
+def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     """Rewrite each two-qubit block into its minimal-CNOT canonical form.
 
     A block is rewritten when it contains non-CX two-qubit gates (basis
@@ -565,14 +564,11 @@ def resynthesize_blocks(circuit: Circuit, memo: CompileMemo | None = None) -> Ci
     that are already minimal are left untouched so that a chosen SWAP
     decomposition orientation survives to the cancellation pass.
     """
-    if memo is None:
-        memo = CompileMemo()
-    dag = build_dag(circuit)
     blocks = collect_blocks(dag)
     rewritten: dict[int, list[Gate]] = {}
     drop: set[int] = set()
     for blk in blocks:
-        gates = [dag.nodes[nid].gate for nid in blk.node_ids]
+        gates = [dag.gates[nid] for nid in blk.node_ids]
         has_foreign = any(
             g.num_qubits == 2 and g.kind is not GateKind.CX for g in gates
         )
@@ -592,37 +588,35 @@ def resynthesize_blocks(circuit: Circuit, memo: CompileMemo | None = None) -> Ci
         # Anchor the replacement at the first two-qubit member: leading 1q
         # members were collected before it but nothing else touches their
         # wire in between, so sliding them down to the anchor is sound.
-        anchor = next(
-            nid for nid in blk.node_ids if dag.nodes[nid].gate.num_qubits == 2
-        )
+        anchor = next(nid for nid in blk.node_ids if dag.gates[nid].num_qubits == 2)
         rewritten[anchor] = [g.remapped(blk.qubit_pair) for g in res.gates]
         drop.update(nid for nid in blk.node_ids if nid != anchor)
+    if not rewritten:
+        return dag
     out: list[Gate] = []
-    for nid in dag.order:
+    for nid, gate in enumerate(dag.gates):
         if nid in rewritten:
             out.extend(rewritten[nid])
         elif nid not in drop:
-            out.append(dag.nodes[nid].gate)
-    return circuit.with_gates(out)
+            out.append(gate)
+    return dag.with_gates(out)
 
 
-def optimize_circuit(circuit: Circuit, rounds: int = 10,
-                     memo: CompileMemo | None = None) -> Circuit:
-    """Re-synthesis + commutative cancellation + 1q merging to a fixed point."""
-    if memo is None:
-        memo = CompileMemo()
-    for _ in range(rounds):
-        before = circuit.gates
-        circuit = resynthesize_blocks(circuit, memo)
-        dag = commutative_cancellation(build_dag(circuit), memo)
+def optimize_circuit(circuit: Circuit, memo: CompileMemo) -> Circuit:
+    """Re-synthesis + commutative cancellation + 1q merging, threaded
+    through one DAG, to a fixed point (at most 10 rounds)."""
+    dag = build_dag(circuit)
+    for _ in range(10):
+        before = dag.gates
+        dag = resynthesize_blocks(dag, memo)
+        dag = commutative_cancellation(dag, memo)
         dag = merge_1q_runs(dag, memo)
-        circuit = dag.to_circuit()
-        if circuit.gates == before:
+        if dag.gates == before:
             break
-    return circuit
+    return dag.circuit
 
 
-def _annotate_for_routing(circuit: Circuit, memo: CompileMemo | None = None) -> CircuitDag:
+def _annotate_for_routing(circuit: Circuit, memo: CompileMemo) -> CircuitDag:
     dag = build_dag(circuit)
     blocks = collect_blocks(dag)
     annotate_block_costs(dag, blocks, memo)
@@ -647,7 +641,7 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
     # block and commute results shared by every pass of this compile only
     memo = CompileMemo()
     body, measures = _split_final_measures(circuit)
-    logical = optimize_circuit(body, memo=memo)
+    logical = optimize_circuit(body, memo)
     base = metrics(logical)
     padded = Circuit(n, logical.gates, circuit.num_clbits)
 
@@ -662,7 +656,7 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
         np.random.default_rng([cfg.seed, 0xF1A1]),
     )
     routed = Circuit(n, tuple(decompose_swaps(outcome.ops)), circuit.num_clbits)
-    routed = optimize_circuit(routed, memo=memo)
+    routed = optimize_circuit(routed, memo)
     _assert_compliant(routed, cmap)
     final = metrics(routed)
     final_log_to_phys = outcome.final_mapping.log_to_phys

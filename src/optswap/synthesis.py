@@ -20,6 +20,8 @@ Synthesis seeds its own rng and reaches the pair only through the qubit
 labels of the gates it emits, so remapping the stored gates onto the real
 pair gives what synthesizing on that pair gives.  Likewise a 1q run's merge
 is stored under the run's kinds and params (``_run_key``), without its wire.
+``merge_1q_runs`` takes a DAG and returns one, like every optimization pass;
+it returns its argument when no run changes.
 """
 
 from __future__ import annotations
@@ -417,8 +419,7 @@ def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
     def close(q):
         open_block[q] = None
 
-    for nid in dag.order:
-        gate = dag.nodes[nid].gate
+    for nid, gate in enumerate(dag.gates):
         if not gate.is_unitary_gate():
             for q in gate.qubits:
                 close(q)
@@ -452,8 +453,7 @@ def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
 
 
 def block_unitary(block: TwoQubitBlock, dag: CircuitDag) -> np.ndarray:
-    gates = [dag.nodes[nid].gate for nid in block.node_ids]
-    return pair_unitary(gates, block.qubit_pair)
+    return pair_unitary([dag.gates[nid] for nid in block.node_ids], block.qubit_pair)
 
 
 def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResults:
@@ -470,15 +470,13 @@ def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResul
 
 
 def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
-                         memo: CompileMemo | None = None) -> None:
+                         memo: CompileMemo) -> None:
     """Cache per-block CNOT counts with and without an appended SWAP, so the
     router's block predictor is a dictionary lookup."""
-    if memo is None:
-        memo = CompileMemo()
     dag.block_cx.clear()
     dag.block_cx_with_swap.clear()
     for blk in blocks:
-        gates = [dag.nodes[nid].gate for nid in blk.node_ids]
+        gates = [dag.gates[nid] for nid in blk.node_ids]
         res = block_results(memo, gates, blk.qubit_pair)
         if res.cx is None or res.cx_with_swap is None:
             u = block_unitary(blk, dag)
@@ -510,29 +508,26 @@ def predict_c2q(dag: CircuitDag, pred_a: int | None, pred_b: int | None) -> int:
 # -- single-qubit run merging -------------------------------------------------
 
 
-def merge_1q_runs(dag: CircuitDag, memo: CompileMemo | None = None) -> CircuitDag:
+def merge_1q_runs(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     """Fuse maximal runs of adjacent 1q gates on each wire into one u3.
 
     Runs of length >= 2 become a single u3 (dropped entirely when the product
     is the identity up to phase); lone identity-like gates are dropped too.
     Each distinct run is merged once per compile (``memo.merges``).
     """
-    if memo is None:
-        memo = CompileMemo()
     merges = memo.merges
-    circuit = dag.to_circuit()
     consumed: set[int] = set()
     replacement: dict[int, Gate | None] = {}
     for q, wire in enumerate(dag.wires):
         run: list[int] = []
         for nid in wire + [None]:
-            gate = dag.nodes[nid].gate if nid is not None else None
+            gate = dag.gates[nid] if nid is not None else None
             if gate is not None and gate.num_qubits == 1 and gate.is_unitary_gate():
                 run.append(nid)
                 continue
             if not run:
                 continue
-            gates = [dag.nodes[n].gate for n in run]
+            gates = [dag.gates[n] for n in run]
             key = _run_key(gates)
             merged = merges.get(key, _UNSEEN)
             if merged is _UNSEEN:
@@ -543,16 +538,11 @@ def merge_1q_runs(dag: CircuitDag, memo: CompileMemo | None = None) -> CircuitDa
                 replacement[run[0]] = Gate(GateKind.U3, (q,), merged)
             consumed.update(run[1:])
             run = []
-    gates = []
-    for pos, nid in enumerate(dag.order):
-        if nid in consumed:
-            continue
-        if nid in replacement:
-            if replacement[nid] is not None:
-                gates.append(replacement[nid])
-            continue
-        gates.append(dag.nodes[nid].gate)
-    return CircuitDag(circuit.with_gates(gates))
+    if not consumed and not replacement:
+        return dag
+    kept = (replacement.get(nid, gate) for nid, gate in enumerate(dag.gates)
+            if nid not in consumed)
+    return dag.with_gates(gate for gate in kept if gate is not None)
 
 
 _UNSEEN = object()

@@ -45,7 +45,7 @@ def direct_score(
 
     front_sum = 0.0
     for nid in front_2q:
-        qa, qb = state.dag.nodes[nid].gate.qubits
+        qa, qb = state.dag.gates[nid].qubits
         front_sum += dist[tentative(qa), tentative(qb)]
 
     if b2q or bc1 or bc2:
@@ -74,7 +74,7 @@ def direct_score(
     if extended:
         ext_sum = 0.0
         for nid in extended:
-            qa, qb = state.dag.nodes[nid].gate.qubits
+            qa, qb = state.dag.gates[nid].qubits
             ext_sum += dist[tentative(qa), tentative(qb)]
         lookahead = cfg.extended_weight * ext_sum / len(extended)
     cand.cost = basic + lookahead - _COMMUTE_TIEBREAK * (cand.ccommute1 + cand.ccommute2)

@@ -35,22 +35,22 @@ def check_replay(
             layout.swap_physical(*gate.qubits)
             continue
         nid = op.node_id
-        if nid is None or not 0 <= nid < len(dag.nodes):
+        if nid is None or not 0 <= nid < len(dag.gates):
             raise ReplayMismatch(f"op {pos}: {gate} is not a DAG gate")
         if nid in emitted:
             raise ReplayMismatch(f"op {pos}: node {nid} emitted twice")
         missing = [p for p in dag.predecessors(nid) if p not in emitted]
         if missing:
             raise ReplayMismatch(f"op {pos}: node {nid} before its predecessors {missing}")
-        expect = dag.nodes[nid].gate.remapped(layout.log_to_phys)
+        expect = dag.gates[nid].remapped(layout.log_to_phys)
         if gate != expect:
             raise ReplayMismatch(f"op {pos}: {gate} is not node {nid} ({expect}) "
                                  "under the current layout")
         if gate.num_qubits == 2 and gate.is_unitary_gate() and not cmap.has_edge(*gate.qubits):
             raise ReplayMismatch(f"op {pos}: {gate} is not on a coupling")
         emitted.add(nid)
-    if len(emitted) != len(dag.nodes):
-        missing = sorted(set(range(len(dag.nodes))) - emitted)
+    if len(emitted) != len(dag.gates):
+        missing = sorted(set(range(len(dag.gates))) - emitted)
         raise ReplayMismatch(f"nodes never emitted: {missing[:10]}")
     if layout.log_to_phys != outcome.final_mapping.log_to_phys:
         raise ReplayMismatch("replayed layout differs from final_mapping")

@@ -38,14 +38,14 @@ class ReferenceState(_RouteState):
         self.resolved_nodes: set[int] = set()
 
     def executable(self, nid: int) -> bool:
-        gate = self.dag.nodes[nid].gate
+        gate = self.dag.gates[nid]
         if gate.num_qubits != 2 or not gate.is_unitary_gate():
             return True
         pa, pb = (self.mapping.log_to_phys[q] for q in gate.qubits)
         return self.cmap.has_edge(pa, pb)
 
     def emit_node(self, nid: int) -> None:
-        gate = self.dag.nodes[nid].gate
+        gate = self.dag.gates[nid]
         phys = gate.remapped(self.mapping.log_to_phys)
         op = RoutedOp(phys, nid, seq=len(self.ops))
         self.ops.append(op)
@@ -57,7 +57,7 @@ class ReferenceState(_RouteState):
             self.pending_preds[succ] -= 1
             if self.pending_preds[succ] == 0:
                 self.front.append(succ)
-        self.front.sort(key=self.topo_pos.__getitem__)
+        self.front.sort()
 
     def drain_front(self, moved=None) -> None:
         progressed = True
@@ -85,9 +85,9 @@ class ReferenceState(_RouteState):
                         continue
                     seen.add(succ)
                     nxt.append(succ)
-            nxt.sort(key=self.topo_pos.__getitem__)
+            nxt.sort()
             for nid in nxt:
-                gate = self.dag.nodes[nid].gate
+                gate = self.dag.gates[nid]
                 if gate.num_qubits == 2 and gate.is_unitary_gate():
                     out.append(nid)
                     if len(out) == cap:

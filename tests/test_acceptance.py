@@ -15,6 +15,7 @@ import pytest
 from optswap.bench import SUITE, BenchSpec, builtin_circuit, rows_to_csv, run_bench
 from optswap.circuit import Circuit, metrics
 from optswap.gates import CX_MATRIX, Gate, GateKind
+from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
     SABRE,
@@ -175,7 +176,7 @@ def test_criterion_5_decomposition_micro_cases():
         RoutedOp(Gate(GateKind.U3, (1,), (0.3, 0.5, 0.7)), 2),
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
-    final = optimize_circuit(raw)
+    final = optimize_circuit(raw, CompileMemo())
     m = metrics(final)
     assert m["cnot_count"] == 3
     assert sum(1 for g in final.gates if g.kind is GateKind.U3) == 1
@@ -191,7 +192,7 @@ def test_criterion_5_decomposition_micro_cases():
         swap_op(0, 1, control=1),
     ]
     raw = Circuit(4, tuple(decompose_swaps(ops)))
-    final = commutative_cancellation(build_dag(raw)).to_circuit()
+    final = commutative_cancellation(build_dag(raw), CompileMemo()).circuit
     m = metrics(final)
     assert m["cnot_count"] == 4
     assert sum(1 for g in final.gates if g.kind is GateKind.CRX) == 2

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from optswap.bench import (
+    BenchError,
     BenchSpec,
     CSV_COLUMNS,
     builtin_circuit,
@@ -28,8 +29,21 @@ crx(pi/7) q[0],q[2];
 """
 
 
+MID_MEASURE_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[2];
+creg c[1];
+measure q[0] -> c[0];
+cx q[0],q[1];
+"""
+
+
 def cx(a, b):
     return Gate(GateKind.CX, (a, b))
+
+
+def without_wall_time(rows):
+    return [{k: v for k, v in vars(r).items() if k != "wall_time_s"} for r in rows]
 
 
 def test_builtin_circuits_present():
@@ -76,10 +90,32 @@ def test_run_bench_row_structure(tmp_path):
 def test_run_bench_deterministic(tmp_path):
     rows_a = run_bench(_tiny_spec(tmp_path))
     rows_b = run_bench(_tiny_spec(tmp_path))
-    strip = lambda rows: [
-        {k: v for k, v in vars(r).items() if k != "wall_time_s"} for r in rows
-    ]
-    assert strip(rows_a) == strip(rows_b)
+    assert without_wall_time(rows_a) == without_wall_time(rows_b)
+
+
+def test_run_bench_process_pool_matches_serial():
+    spec = BenchSpec(circuits=["grover_n4", "bv_n19"], topology="montreal", trials=2)
+    wall = CSV_COLUMNS.index("wall_time_s")
+
+    def csv_without_wall_time(rows):
+        return [line.split(",")[:wall] + line.split(",")[wall + 1:]
+                for line in rows_to_csv(rows).splitlines()]
+
+    assert csv_without_wall_time(run_bench(spec, jobs=2)) == csv_without_wall_time(run_bench(spec))
+
+
+def test_run_bench_error_rows_keep_the_exception_type(tmp_path):
+    bad = tmp_path / "mid_measure.qasm"
+    bad.write_text(MID_MEASURE_QASM)
+
+    def bench(circuits):
+        return run_bench(BenchSpec(circuits=circuits, topology="linear(5)", trials=1))
+
+    rows, good = bench(["grover_n4", str(bad)]), bench(["grover_n4"])
+    assert [(r.name, r.error) for r in rows[2:4]] == [
+        (str(bad), "RoutingError: mid-circuit measurement is not supported")
+    ] * 2
+    assert without_wall_time(rows[:2] + rows[4:]) == without_wall_time(good)
 
 
 def test_csv_columns_fixed(tmp_path):
@@ -120,6 +156,24 @@ def test_bench_spec_rejects_bad_router_values(tmp_path, entry):
     spec_file.write_text(json.dumps({"circuits": ["grover_n4"],
                                      "routers": [{"algorithm": "nassc", **entry}]}))
     with pytest.raises(ValueError, match=next(iter(entry))):
+        load_bench_spec(spec_file)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"circuits": ["grover_n4"], "trials": 2.5}, "trials"),
+    ({"circuits": ["grover_n4"], "trials": True}, "trials"),
+    ({"circuits": ["grover_n4"], "trials": "x"}, "trials"),
+    ({"circuits": "grover_n4"}, "circuits"),
+    ({"trials": 2}, "circuits"),
+    (["grover_n4"], "JSON object"),
+    ({"circuits": ["grover_n4"], "large_circuits": [8]}, "large_circuits"),
+    ({"circuits": ["grover_n4"], "topology": ["linear(5)"]}, "topology"),
+    ({"circuits": ["grover_n4"], "routers": {"algorithm": "nassc"}}, "routers"),
+])
+def test_bench_spec_rejects_bad_fields(tmp_path, data, field):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(data))
+    with pytest.raises(BenchError, match=field):
         load_bench_spec(spec_file)
 
 

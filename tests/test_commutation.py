@@ -16,6 +16,7 @@ from optswap.commutation import (
 )
 from optswap.dag import build_dag
 from optswap.gates import _PARAM_ARITY, Gate, GateKind
+from optswap.memo import CompileMemo
 from optswap.sim import circuit_unitary
 
 from conftest import phase_distance
@@ -199,14 +200,14 @@ def test_non_unitary_never_commutes():
 
 def test_shared_target_chain_one_set():
     dag = build_dag(Circuit(4, (cx(0, 3), cx(1, 3), cx(2, 3))))
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     ids = {dag.commute_set[(nid, 3)] for nid in dag.order}
     assert len(ids) == 1
 
 
 def test_h_breaks_commute_sets():
     dag = build_dag(Circuit(2, (cx(0, 1), Gate(GateKind.H, (1,)), cx(0, 1))))
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     ids = [dag.commute_set[(nid, 1)] for nid in dag.order]
     assert len(set(ids)) == 3
 
@@ -214,7 +215,7 @@ def test_h_breaks_commute_sets():
 def test_controlled_gates_share_control_wire_set():
     # two controlled rotations hanging off the same control wire group together
     dag = build_dag(Circuit(4, (crx(0.5, 1, 2), crx(0.7, 1, 3))))
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     a, b = dag.order
     assert dag.commute_set[(a, 1)] == dag.commute_set[(b, 1)]
 
@@ -224,7 +225,7 @@ def test_set_membership_search_cap():
     # only consult the first 20, and cancellation still verifies in-betweens
     gates = tuple(cx(i % 3, 3) if False else cx((i % 3), 3) for i in range(25))
     dag = build_dag(Circuit(4, gates))
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     ids = {dag.commute_set[(nid, 3)] for nid in dag.order}
     assert len(ids) == 1
 
@@ -233,7 +234,7 @@ def test_set_membership_search_cap():
 
 
 def run_cancel(circ):
-    return commutative_cancellation(build_dag(circ)).to_circuit()
+    return commutative_cancellation(build_dag(circ), CompileMemo()).circuit
 
 
 def test_adjacent_cx_pair_cancels():
@@ -311,7 +312,7 @@ def _entries(dag, wire_gates):
         if isinstance(item, FakeEntry):
             out.append(item)
         else:
-            out.append(FakeEntry(dag.nodes[item].gate, item))
+            out.append(FakeEntry(dag.gates[item], item))
     return out
 
 
@@ -320,7 +321,7 @@ def test_predict_ccommute1_vqe_pattern():
     # can cancel with the resolved CX(0, 1) once the u3 moves out of the way
     circ = Circuit(3, (cx(0, 1), cx(2, 1), u3(1)))
     dag = build_dag(circ)
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     n_cx01, n_cx21, n_u3 = dag.order
     hist_0 = _entries(dag, [n_cx01])
     hist_1 = _entries(dag, [n_cx01, n_cx21, n_u3])
@@ -333,7 +334,7 @@ def test_predict_ccommute1_vqe_pattern():
 def test_predict_ccommute1_no_cx_on_pair():
     circ = Circuit(3, (crx(0.5, 0, 1),))
     dag = build_dag(circ)
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     hist = _entries(dag, [dag.order[0]])
     value, label = predict_ccommute1(dag, hist, hist, 0, 1, 0, 1)
     assert (value, label) == (0, None)
@@ -342,7 +343,7 @@ def test_predict_ccommute1_no_cx_on_pair():
 def test_predict_ccommute1_blocked_by_inserted_swap():
     circ = Circuit(2, (cx(0, 1),))
     dag = build_dag(circ)
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     swap_entry = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     hist = _entries(dag, [dag.order[0], swap_entry])
     value, label = predict_ccommute1(dag, hist, hist, 0, 1, 0, 1)
@@ -353,12 +354,12 @@ def test_predict_ccommute2_sandwich():
     # prior SWAP on the pair, two commuting controlled gates in between
     circ = Circuit(4, (crx(0.5, 1, 2), crx(0.7, 1, 3)))
     dag = build_dag(circ)
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     mid_a, mid_b = dag.order
     hist_0 = [prev]
-    hist_1 = [prev, FakeEntry(dag.nodes[mid_a].gate, mid_a),
-              FakeEntry(dag.nodes[mid_b].gate, mid_b)]
+    hist_1 = [prev, FakeEntry(dag.gates[mid_a], mid_a),
+              FakeEntry(dag.gates[mid_b], mid_b)]
     value, label, prev_found = predict_ccommute2(dag, hist_0, hist_1, 0, 1)
     assert value == 2
     assert prev_found is prev
@@ -367,7 +368,7 @@ def test_predict_ccommute2_sandwich():
 
 def test_predict_ccommute2_rejects_empty_sandwich():
     dag = build_dag(Circuit(2, ()))
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     value, label, prev_found = predict_ccommute2(dag, [prev], [prev], 0, 1)
     assert value == 0
@@ -376,9 +377,9 @@ def test_predict_ccommute2_rejects_empty_sandwich():
 def test_predict_ccommute2_non_commuting_middle():
     circ = Circuit(2, (Gate(GateKind.H, (1,)), cx(0, 1)))
     dag = build_dag(circ)
-    commutation_analysis(dag)
+    commutation_analysis(dag, CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
-    h_entry = FakeEntry(dag.nodes[dag.order[0]].gate, dag.order[0])
-    cx_entry = FakeEntry(dag.nodes[dag.order[1]].gate, dag.order[1])
+    h_entry = FakeEntry(dag.gates[0], 0)
+    cx_entry = FakeEntry(dag.gates[1], 1)
     value, label, _ = predict_ccommute2(dag, [prev, cx_entry], [prev, h_entry, cx_entry], 0, 1)
     assert value == 0

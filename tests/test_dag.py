@@ -28,8 +28,8 @@ def test_disjoint_gates_have_no_edge():
 def test_nodes_are_the_gates_in_source_order():
     c = Circuit(3, (cx(0, 1), cx(1, 2)))
     dag = build_dag(c)
-    assert dag.order == list(range(len(c.gates)))
-    assert [dag.nodes[nid].gate for nid in dag.order] == list(c.gates)
+    assert dag.order == range(len(c.gates))
+    assert [dag.gates[nid] for nid in dag.order] == list(c.gates)
     first, last = dag.order
     assert dag.predecessors(first) == [] and dag.successors(last) == []
 
@@ -57,7 +57,7 @@ def test_front_layer_of_layered_example():
         and all(p in resolved for p in dag.predecessors(nid))
     ]
     assert front == [dag.order[3]]
-    assert dag.nodes[dag.order[3]].gate == cx(0, 2)
+    assert dag.gates[dag.order[3]] == cx(0, 2)
 
 
 def test_linearization_preserves_metrics():
@@ -72,8 +72,10 @@ def test_linearization_preserves_metrics():
         ),
     )
     dag = build_dag(circ)
-    assert metrics(dag.to_circuit()) == metrics(circ)
-    assert dag.to_circuit().gates == circ.gates
+    assert dag.circuit is circ and dag.gates == circ.gates
+    rebuilt = dag.with_gates(reversed(circ.gates))
+    assert rebuilt.circuit == circ.with_gates(reversed(circ.gates))
+    assert metrics(rebuilt.circuit) == metrics(circ)
 
 
 def test_wire_navigation():

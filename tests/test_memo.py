@@ -84,7 +84,7 @@ def assert_same_circuit(a: Circuit, b: Circuit):
 def optimize_and_annotate(circuit: Circuit, memo: CompileMemo):
     """Pre-optimization and both routing annotations, as full_pipeline runs
     them: one memo for all three."""
-    logical = optimize_circuit(circuit, memo=memo)
+    logical = optimize_circuit(circuit, memo)
     reverse = logical.with_gates(tuple(reversed(logical.gates)))
     return logical, [_annotate_for_routing(c, memo) for c in (logical, reverse)]
 
@@ -151,8 +151,8 @@ def test_mirrored_block_reuses_the_stored_synthesis():
              Gate(GateKind.CZ, (2, 3))]
     circ = Circuit(4, tuple(first + [Gate(GateKind.CX, (1, 2))] + mirrored + other))
     memo = CompileMemo()
-    out = resynthesize_blocks(circ, memo)
-    assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
+    out = resynthesize_blocks(build_dag(circ), memo).circuit
+    assert_same_circuit(out, resynthesize_blocks(build_dag(circ), forgetful()).circuit)
     assert phase_distance(circuit_unitary(out), circuit_unitary(circ)) < 1e-9
     assert len(memo.blocks) == 3  # four blocks, the mirrored pair shares one
     assert_memo_changes_nothing(circ)
@@ -167,9 +167,9 @@ def test_signed_zero_rotations_share_an_entry_with_the_same_output(zero_first):
 
     circ = Circuit(4, tuple(block(0, 1, zero_first) + block(2, 3, -zero_first)))
     memo = CompileMemo()
-    out = resynthesize_blocks(circ, memo)
+    out = resynthesize_blocks(build_dag(circ), memo).circuit
     assert len(memo.blocks) == 1
-    assert_same_circuit(out, resynthesize_blocks(circ, forgetful()))
+    assert_same_circuit(out, resynthesize_blocks(build_dag(circ), forgetful()).circuit)
     assert_memo_changes_nothing(circ)
 
 
@@ -228,8 +228,8 @@ def merged_with_and_without_memo(circuits):
     with a memo that never stores; asserts the outputs are the same."""
     memo = CompileMemo()
     for circuit in circuits:
-        got = merge_1q_runs(build_dag(circuit), memo).to_circuit()
-        want = merge_1q_runs(build_dag(circuit), forgetful()).to_circuit()
+        got = merge_1q_runs(build_dag(circuit), memo).circuit
+        want = merge_1q_runs(build_dag(circuit), forgetful()).circuit
         assert_same_circuit(got, want)
     return memo
 
@@ -299,10 +299,10 @@ def test_compile_keeps_no_memo_after_it_returns(monkeypatch):
 
     resynthesize = routing.resynthesize_blocks
 
-    def spy(circuit, memo=None):
+    def spy(dag, memo):
         assert type(memo) is Recorded  # the compile's own memo
         memos.append((weakref.ref(memo), len(memo.blocks)))
-        return resynthesize(circuit, memo)
+        return resynthesize(dag, memo)
 
     circ = random_angles(np.random.default_rng(11), 5, 80)
     cfg = RouterConfig(algorithm=NASSC)

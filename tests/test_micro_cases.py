@@ -10,6 +10,7 @@ from optswap.circuit import Circuit, metrics
 from optswap.commutation import DecompositionLabel
 from optswap.dag import build_dag, CircuitDag
 from optswap.gates import Gate, GateKind
+from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
     RoutedOp,
@@ -55,7 +56,7 @@ def test_single_cancellation_case_counts():
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
     assert metrics(raw)["cnot_count"] == 5
-    final = optimize_circuit(raw)
+    final = optimize_circuit(raw, CompileMemo())
     m = metrics(final)
     assert m["cnot_count"] == 3
     assert sum(1 for g in final.gates if g.kind is GateKind.U3) == 1
@@ -73,7 +74,7 @@ def test_single_cancellation_unlabeled_orientation_stays_expensive():
         swap_op(0, 1),
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
-    final = optimize_circuit(raw)
+    final = optimize_circuit(raw, CompileMemo())
     assert metrics(final)["cnot_count"] == 5
 
 
@@ -90,7 +91,7 @@ def test_swap_sandwich_case_counts():
     ]
     raw = Circuit(4, tuple(decompose_swaps(ops)))
     assert metrics(raw)["cnot_count"] == 6
-    final = commutative_cancellation(build_dag(raw)).to_circuit()
+    final = commutative_cancellation(build_dag(raw), CompileMemo()).circuit
     assert metrics(final)["cnot_count"] == 4
     assert sum(1 for g in final.gates if g.kind is GateKind.CRX) == 2
     assert phase_distance(circuit_unitary(final), circuit_unitary(raw)) < 1e-8
@@ -106,7 +107,7 @@ def test_swap_sandwich_unlabeled_keeps_six():
         swap_op(0, 1),
     ]
     raw = Circuit(4, tuple(decompose_swaps(ops)))
-    final = commutative_cancellation(build_dag(raw)).to_circuit()
+    final = commutative_cancellation(build_dag(raw), CompileMemo()).circuit
     assert metrics(final)["cnot_count"] == 6
 
 
@@ -120,7 +121,7 @@ def test_swap_sandwich_in_basis_gates():
         swap_op(0, 1, control=1, rationale="commute2"),
     ]
     raw = Circuit(4, tuple(decompose_swaps(labeled)))
-    final = optimize_circuit(raw)
+    final = optimize_circuit(raw, CompileMemo())
     assert metrics(final)["cnot_count"] == 6  # 4 ladder CX + the 2 middles
     assert phase_distance(circuit_unitary(final), circuit_unitary(raw)) < 1e-8
 

@@ -10,6 +10,7 @@ import pytest
 
 from optswap.bench import builtin_circuit, estimate_fidelity
 from optswap.circuit import metrics
+from optswap.memo import CompileMemo
 from optswap.routing import NASSC, SABRE, RouterConfig, full_pipeline, optimize_circuit
 from optswap.topology import NoiseProfile, linear_map, montreal_map
 
@@ -28,7 +29,7 @@ def test_grover4_baseline_cnot_total():
     exactly 84 CNOTs (pinned; the reference table row is 84 +- 10%)."""
     circuit = builtin_circuit("grover_n4")
     body = circuit.with_gates(g for g in circuit.gates if g.kind.value != "measure")
-    baseline = metrics(optimize_circuit(body))
+    baseline = metrics(optimize_circuit(body, CompileMemo()))
     assert baseline["cnot_count"] == 84
     assert 75.6 <= baseline["cnot_count"] <= 92.4
 

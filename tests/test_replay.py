@@ -8,6 +8,7 @@ import pytest
 
 from optswap.circuit import Circuit
 from optswap.gates import Gate, GateKind
+from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
     SABRE,
@@ -32,9 +33,10 @@ def random_cx(rng, n, count):
 
 def routed(circuit, cmap, cfg):
     """Route the way full_pipeline does; returns (dag, entry layout, outcome)."""
-    logical = optimize_circuit(circuit)
-    fwd = _annotate_for_routing(logical)
-    rev = _annotate_for_routing(logical.with_gates(tuple(reversed(logical.gates))))
+    memo = CompileMemo()
+    logical = optimize_circuit(circuit, memo)
+    fwd = _annotate_for_routing(logical, memo)
+    rev = _annotate_for_routing(logical.with_gates(tuple(reversed(logical.gates))), memo)
     dist = distance_matrix_for(cmap, cfg)
     entry = initial_mapping(fwd, rev, cmap, dist, cfg)
     outcome = route(fwd, cmap, dist, cfg, entry.copy(),

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from optswap.bench import builtin_circuit
 from optswap.circuit import Circuit, metrics
 from optswap.commutation import DecompositionLabel
 from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
 from optswap import routing
+from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
     SABRE,
@@ -58,8 +60,12 @@ LAYERED = Circuit(4, (cx(2, 1), crx(0.4, 0, 1), cx(2, 3), cx(0, 2),
                       crx(0.4, 1, 2), cx(0, 1)))
 
 
+def annotated(circuit):
+    return _annotate_for_routing(circuit, CompileMemo())
+
+
 def make_state(circuit, cmap, mapping=None, annotate=True, cfg=None):
-    dag = _annotate_for_routing(circuit) if annotate else build_dag(circuit)
+    dag = annotated(circuit) if annotate else build_dag(circuit)
     n = cmap.num_physical_qubits
     mapping = mapping or QubitMapping(list(range(n)))
     flags = cfg.flags() if cfg is not None else (False, False, False)
@@ -155,7 +161,7 @@ def test_cost_fig1_block_merge_wins():
     # on (0, 1) is strictly cheaper than the one next to unrelated blocks
     cmap = linear_map(3)
     cfg = RouterConfig(algorithm=NASSC)
-    circ = optimize_circuit(FIG1)
+    circ = optimize_circuit(FIG1, CompileMemo())
     state = make_state(circ, cmap, cfg=cfg)
     state.drain_front()
     front = list(state.front)
@@ -174,7 +180,7 @@ def test_cost_fig4_commute_cancellation_wins():
     state = make_state(LAYERED, cmap, cfg=cfg)
     state.drain_front()
     front = list(state.front)
-    assert [state.dag.nodes[n].gate for n in front] == [cx(0, 2)]
+    assert [state.dag.gates[n] for n in front] == [cx(0, 2)]
     dist = distance_matrix_for(cmap, cfg)
     ext = state.extended_layer(front, cfg.extended_size)
     block_cand, commute_cand = scored(state, [(0, 1), (1, 2)], front, ext, dist, cfg)
@@ -191,7 +197,7 @@ def test_extended_layer_orders_and_caps():
     ext = state.extended_layer(front, 1)
     assert len(ext) == 1
     ext20 = state.extended_layer(front, 20)
-    gates = [state.dag.nodes[n].gate for n in ext20]
+    gates = [state.dag.gates[n] for n in ext20]
     assert gates == [crx(0.4, 1, 2), cx(0, 1)]
 
 
@@ -230,7 +236,7 @@ def compare_scores(circuit, cmap, cfg, rng, steps, tol):
         ext = state.extended_layer(front, cfg.extended_size)
         widest = max(widest, len(ext))
         touched = {state.mapping.log_to_phys[q]
-                   for nid in front for q in state.dag.nodes[nid].gate.qubits}
+                   for nid in front for q in state.dag.gates[nid].qubits}
         edges = enumerate_candidates(state, front)
         assert edges == [e for e in cmap.sorted_edges() if touched & set(e)]
         cands = []
@@ -302,7 +308,7 @@ def test_route_reuses_extended_layer_only_while_front_is_unchanged(monkeypatch):
     for algorithm in (SABRE, NASSC):
         cfg = RouterConfig(algorithm=algorithm)
         mapping = QubitMapping([int(p) for p in rng.permutation(64)])
-        route(_annotate_for_routing(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+        route(annotated(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
               mapping, np.random.default_rng(0))
     assert 0 < len(computed) < len(scored)
     # consecutive recomputations are for different fronts
@@ -320,7 +326,7 @@ def op_record(outcome):
 
 def routed_both_ways(circuit, cmap, cfg, layout, seed):
     """(route's record, the reference loop's record) on the same inputs."""
-    dag = _annotate_for_routing(circuit)
+    dag = annotated(circuit)
     dist = distance_matrix_for(cmap, cfg)
     new = route(dag, cmap, dist, cfg, QubitMapping(list(layout)),
                 np.random.default_rng(seed))
@@ -405,7 +411,7 @@ def test_route_serves_cached_predictions_equal_to_fresh_ones(monkeypatch):
         circ = random_circuit(rng, 27, 60, 40)
         cfg = RouterConfig(algorithm=NASSC)
         mapping = QubitMapping([int(p) for p in rng.permutation(27)])
-        route(_annotate_for_routing(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+        route(annotated(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
               mapping, np.random.default_rng(0))
     assert served["hit"] > 0 and served["miss"] > 0
 
@@ -427,14 +433,27 @@ def test_greedy_resolve_walks_gate_onto_a_coupling():
 def test_initial_mapping_deterministic():
     cmap = linear_map(4)
     cfg = RouterConfig(algorithm=NASSC, seed=42)
-    circ = optimize_circuit(LAYERED)
-    fwd = _annotate_for_routing(circ)
-    rev = _annotate_for_routing(circ.with_gates(tuple(reversed(circ.gates))))
+    circ = optimize_circuit(LAYERED, CompileMemo())
+    fwd = annotated(circ)
+    rev = annotated(circ.with_gates(tuple(reversed(circ.gates))))
     dist = distance_matrix_for(cmap, cfg)
     first = initial_mapping(fwd, rev, cmap, dist, cfg)
     for _ in range(10):
         again = initial_mapping(fwd, rev, cmap, dist, cfg)
         assert again.log_to_phys == first.log_to_phys
+
+
+@pytest.mark.parametrize("traversals", [1, 3])
+def test_initial_mapping_depends_on_the_router_after_refinement(traversals):
+    # the last refinement pass routes with the configured algorithm, so the
+    # routers share a layout only when there is no refinement pass
+    circ = builtin_circuit("grover_n4")
+    entry = [
+        full_pipeline(circ, montreal_map(),
+                      RouterConfig(algorithm=algorithm, traversals=traversals)).initial_mapping
+        for algorithm in (SABRE, NASSC)
+    ]
+    assert (entry[0] == entry[1]) == (traversals == 1)
 
 
 def test_route_compliant_circuit_inserts_nothing():
@@ -448,7 +467,7 @@ def test_route_compliant_circuit_inserts_nothing():
 def test_route_identity_circuit_keeps_mapping():
     cmap = linear_map(3)
     circ = Circuit(3, (u3(0), u3(1), u3(2)))
-    dag = _annotate_for_routing(circ)
+    dag = annotated(circ)
     mapping = QubitMapping([2, 0, 1])
     out = route(dag, cmap, distance_matrix_for(cmap, RouterConfig()),
                 RouterConfig(), mapping, np.random.default_rng(0))
@@ -576,10 +595,11 @@ def test_sabre_reduction_property():
     """NASSC with every optimization disabled replays SABRE exactly."""
     cmap = montreal_map()
     circ = optimize_circuit(
-        Circuit(6, (cx(0, 5), cx(1, 4), cx(2, 3), cx(0, 3), cx(5, 2), cx(4, 0)))
+        Circuit(6, (cx(0, 5), cx(1, 4), cx(2, 3), cx(0, 3), cx(5, 2), cx(4, 0))),
+        CompileMemo(),
     )
     padded = Circuit(27, circ.gates, 0)
-    fwd = _annotate_for_routing(padded)
+    fwd = annotated(padded)
     dist = distance_matrix_for(cmap, RouterConfig())
     for seed in range(5):
         mapping = QubitMapping(list(np.random.default_rng(seed).permutation(27).astype(int)))
@@ -641,7 +661,7 @@ def test_resynthesize_blocks_reduces_and_preserves(rng):
         gates.append(cx(0, 1))
         gates.append(Gate(GateKind.U3, (0,), tuple(rng.uniform(-2, 2, 3))))
     circ = Circuit(2, tuple(gates))
-    out = resynthesize_blocks(circ)
+    out = resynthesize_blocks(build_dag(circ), CompileMemo()).circuit
     assert metrics(out)["cnot_count"] <= 3
     assert phase_distance(circuit_unitary(out), circuit_unitary(circ)) < 1e-8
 
@@ -649,13 +669,13 @@ def test_resynthesize_blocks_reduces_and_preserves(rng):
 def test_resynthesize_keeps_minimal_blocks_untouched():
     # a bare 3-CX ladder is already minimal: orientation must survive
     ladder = (cx(1, 0), cx(0, 1), cx(1, 0))
-    out = resynthesize_blocks(Circuit(2, ladder))
+    out = resynthesize_blocks(build_dag(Circuit(2, ladder)), CompileMemo()).circuit
     assert out.gates == ladder
 
 
 def test_resynthesize_converts_foreign_gates():
     circ = Circuit(2, (crx(0.7, 0, 1),))
-    out = resynthesize_blocks(circ)
+    out = resynthesize_blocks(build_dag(circ), CompileMemo()).circuit
     assert all(g.kind in (GateKind.CX, GateKind.U3) for g in out.gates)
     assert phase_distance(circuit_unitary(out), circuit_unitary(circ)) < 1e-8
 
@@ -666,7 +686,7 @@ def test_optimize_circuit_reaches_fixpoint(rng):
         a, b = (int(x) for x in rng.choice(3, size=2, replace=False))
         gates.append(cx(a, b))
     circ = Circuit(3, tuple(gates))
-    once = optimize_circuit(circ)
-    again = optimize_circuit(once)
+    once = optimize_circuit(circ, CompileMemo())
+    again = optimize_circuit(once, CompileMemo())
     assert once.gates == again.gates
     assert phase_distance(circuit_unitary(once), circuit_unitary(circ)) < 1e-8

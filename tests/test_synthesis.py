@@ -13,6 +13,7 @@ from optswap.gates import (
     gate_matrix,
     u3_gate_from_matrix,
 )
+from optswap.memo import CompileMemo
 from optswap.sim import circuit_unitary
 from optswap.synthesis import (
     NotUnitary,
@@ -232,7 +233,7 @@ def test_block_unitary_reversed_pair_orientation():
 def _annotated(gates, n):
     dag = build_dag(Circuit(n, tuple(gates)))
     blocks = collect_blocks(dag)
-    annotate_block_costs(dag, blocks)
+    annotate_block_costs(dag, blocks, CompileMemo())
     return dag, blocks
 
 
@@ -293,14 +294,14 @@ def test_predict_c2q_range(rng):
 
 def test_merge_1q_xx_cancels():
     dag = build_dag(Circuit(1, (Gate(GateKind.X, (0,)), Gate(GateKind.X, (0,)))))
-    assert merge_1q_runs(dag).to_circuit().gates == ()
+    assert merge_1q_runs(dag, CompileMemo()).circuit.gates == ()
 
 
 def test_merge_1q_rz_sum():
     dag = build_dag(
         Circuit(1, (Gate(GateKind.RZ, (0,), (0.3,)), Gate(GateKind.RZ, (0,), (0.5,))))
     )
-    merged = merge_1q_runs(dag).to_circuit()
+    merged = merge_1q_runs(dag, CompileMemo()).circuit
     assert len(merged.gates) == 1
     assert merged.gates[0].kind is GateKind.U3
     expected = gate_matrix(Gate(GateKind.RZ, (0,), (0.8,)))
@@ -311,7 +312,7 @@ def test_merge_1q_h_rz_h_is_rx():
     run = (Gate(GateKind.H, (0,)), Gate(GateKind.RZ, (0,), (math.pi / 2,)),
            Gate(GateKind.H, (0,)))
     dag = build_dag(Circuit(1, run))
-    merged = merge_1q_runs(dag).to_circuit()
+    merged = merge_1q_runs(dag, CompileMemo()).circuit
     assert len(merged.gates) == 1
     rx = np.array(
         [[math.cos(math.pi / 4), -1j * math.sin(math.pi / 4)],
@@ -329,7 +330,7 @@ def test_merge_1q_respects_wire_boundaries(rng):
         Gate(GateKind.H, (1,)),
     )
     circ = Circuit(2, gates)
-    merged = merge_1q_runs(build_dag(circ)).to_circuit()
+    merged = merge_1q_runs(build_dag(circ), CompileMemo()).circuit
     assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-10
     assert len(merged.gates) == 4  # the two RZ fused
 
@@ -346,7 +347,7 @@ def test_merge_1q_keeps_a_run_just_off_the_identity():
     target = np.diag([1.0, np.exp(2e-6j)])
     second = u3_gate_from_matrix(target @ gate_matrix(first).conj().T, 0)
     circ = Circuit(1, (first, second))
-    merged = merge_1q_runs(build_dag(circ)).to_circuit()
+    merged = merge_1q_runs(build_dag(circ), CompileMemo()).circuit
     assert phase_distance(circuit_unitary(circ), target) < 1e-12
     assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-9
 
