@@ -106,14 +106,18 @@ def load_bench_spec(path, include_large: bool = False) -> BenchSpec:
                      _list_of(dict), "a list of objects")
     return BenchSpec(
         circuits=circuits,
-        topology=_field(data, "topology", "montreal", lambda v: isinstance(v, str), "a string"),
+        topology=_field(data, "topology", "montreal", _is(str), "a string"),
         routers=tuple(router_config_from_dict(entry) for entry in routers),
         trials=_field(data, "trials", 10, lambda v: type(v) is int and v >= 1,
                       "an integer >= 1"),
-        output=data.get("output"),
-        noise_profile_path=data.get("noise_profile"),
+        output=_field(data, "output", None, _is(str, type(None)), "a string"),
+        noise_profile_path=_field(data, "noise_profile", None, _is(str, type(None)), "a string"),
         large_circuits=large,
     )
+
+
+def _is(*kinds: type):
+    return lambda value: isinstance(value, kinds)
 
 
 def _list_of(kind: type):

@@ -562,7 +562,8 @@ def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     A block is rewritten when it contains non-CX two-qubit gates (basis
     conversion) or when re-synthesis strictly reduces its CNOT count; blocks
     that are already minimal are left untouched so that a chosen SWAP
-    decomposition orientation survives to the cancellation pass.
+    decomposition orientation survives to the cancellation pass.  With no
+    block rewritten, `dag` itself is returned.
     """
     blocks = collect_blocks(dag)
     rewritten: dict[int, list[Gate]] = {}

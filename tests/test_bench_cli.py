@@ -169,6 +169,9 @@ def test_bench_spec_rejects_bad_router_values(tmp_path, entry):
     ({"circuits": ["grover_n4"], "large_circuits": [8]}, "large_circuits"),
     ({"circuits": ["grover_n4"], "topology": ["linear(5)"]}, "topology"),
     ({"circuits": ["grover_n4"], "routers": {"algorithm": "nassc"}}, "routers"),
+    # an int output would be opened as a file descriptor
+    ({"circuits": ["grover_n4"], "output": 1}, "output"),
+    ({"circuits": ["grover_n4"], "noise_profile": ["noise.json"]}, "noise_profile"),
 ])
 def test_bench_spec_rejects_bad_fields(tmp_path, data, field):
     spec_file = tmp_path / "spec.json"
