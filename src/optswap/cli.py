@@ -20,8 +20,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Connectivity-aware SWAP routing with optimization-aware costs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--debug", action="store_true",
+                        help="on an error, re-raise it with its traceback")
 
-    rt = sub.add_parser("route", help="route one QASM circuit onto a device")
+    rt = sub.add_parser("route", parents=[common],
+                        help="route one QASM circuit onto a device")
     rt.add_argument("--in", dest="infile", required=True, help="input QASM file")
     rt.add_argument("--coupling", required=True,
                     help="montreal | linear(n) | grid(r,c) | JSON map file")
@@ -35,13 +39,14 @@ def _build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--out", required=True, help="output QASM file")
     rt.add_argument("--stats", help="write run statistics JSON here")
 
-    vf = sub.add_parser("verify", help="check routed-vs-original equivalence")
+    vf = sub.add_parser("verify", parents=[common],
+                        help="check routed-vs-original equivalence")
     vf.add_argument("--a", dest="original", required=True)
     vf.add_argument("--b", dest="routed", required=True)
     vf.add_argument("--perm", required=True,
                     help="JSON list (final mapping) or a route --stats file")
 
-    bn = sub.add_parser("bench", help="run a benchmark spec and write CSV")
+    bn = sub.add_parser("bench", parents=[common], help="run a benchmark spec and write CSV")
     bn.add_argument("--spec", required=True, help="bench spec JSON")
     bn.add_argument("--large", action="store_true",
                     help="include the spec's large_circuits list")
@@ -119,6 +124,8 @@ def main(argv=None) -> int:
             return _verify(args)
         return _bench(args)
     except Exception as exc:  # surface module errors as exit codes
+        if args.debug:
+            raise
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

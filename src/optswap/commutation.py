@@ -22,8 +22,11 @@ a cancelling pair, is looked up by the id pair.  Passes carry untouched gates
 through unchanged, so the same pairs come back in every cancellation round,
 every optimization round and both routing annotations.  An id pair new to
 the compile is looked up by its gates' contents and relative wires, so the
-same two gates on other wires are decided once.  The process-wide
-``_commute_key`` cache below stays as it is.
+same two gates on other wires are decided once.  A 1q gate against a CX or
+CZ is looked up by its role instead (on the CX's control, on its target, or
+on the CZ), since that is all the closed form reads: both argument orders
+and both wire orders share one decision.  The process-wide ``_commute_key``
+cache below stays as it is.
 """
 
 from __future__ import annotations
@@ -125,14 +128,28 @@ def gates_commute(g1: Gate, g2: Gate) -> bool:
 
 def _decide(memo: CompileMemo, gid: int, gate: Gate, oid: int, other: Gate) -> bool:
     """``gates_commute(gate, other)`` for an id pair new to the compile,
-    decided once per content pair and relative wire pattern: the decision
-    reads nothing else of the two gates.  The wires are relabelled in one
-    tuple; its split is fixed by the first gate's kind, except for a
-    barrier, which commutes with nothing anyway."""
-    qubits = gate.qubits + other.qubits
-    wires = sorted(set(qubits))
+    decided once per content pair and the way the two gates meet: the
+    decision reads nothing else of them.
+
+    A 1q gate against a CX or CZ on one of its wires meets it in a role: on
+    the CX's control (0), on its target (1), or on the CZ (-1).  The closed
+    form of ``_commutator_max`` reads only the 1q content, the kind of the
+    other gate and that role, whichever gate comes first, so both argument
+    orders and every wire pair share one decision.  Any other pair meets in
+    its wires, relabelled in one tuple; its split is fixed by the first
+    gate's kind, except for a barrier, which commutes with nothing anyway."""
     ids = memo.content_ids
-    key = (ids[gid], ids[oid], tuple(map(wires.index, qubits)))
+    one, pauli, one_id, pauli_id = gate, other, gid, oid
+    if one.num_qubits == 2:
+        one, pauli, one_id, pauli_id = other, gate, oid, gid
+    if (one.kind in _ONE_QUBIT and pauli.kind in _CONTROLLED_PAULI
+            and one.qubits[0] in pauli.qubits):
+        role = -1 if pauli.kind is GateKind.CZ else pauli.qubits.index(one.qubits[0])
+        key = (ids[one_id], ids[pauli_id], role)
+    else:
+        qubits = gate.qubits + other.qubits
+        wires = sorted(set(qubits))
+        key = (ids[gid], ids[oid], tuple(map(wires.index, qubits)))
     commutes = memo.content_commute.get(key)
     if commutes is None:
         commutes = memo.content_commute[key] = gates_commute(gate, other)
@@ -149,8 +166,7 @@ def commutation_analysis(dag: CircuitDag, memo: CompileMemo) -> None:
     gates = dag.gates
     ids = [memo.gate_id(gate) for gate in gates]
     unitary = [gate.is_unitary_gate() for gate in gates]
-    commute_set = dag.commute_set
-    commute_set.clear()
+    commute_set = dag.commute_set = {}
     next_id = 0
     for wire, nodes in enumerate(dag.wires):
         current: list[tuple[int, Gate]] = []  # open set: (gate id, gate)

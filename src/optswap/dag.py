@@ -7,9 +7,18 @@ single path (``wires[q]``).  Source order is always a valid topological
 order, so ``order`` is just the node ids.  The optimization passes take a
 DAG and return one: a pass that changes gates picks the ones to keep from
 ``gates`` and builds the next DAG with ``with_gates``.
+
+The analysis passes annotate a DAG: ``collect_blocks`` assigns
+``block_id``, ``annotate_block_costs`` writes into ``block_cx`` and
+``block_cx_with_swap``, and ``commutation_analysis`` assigns
+``commute_set``.  Until then ``block_id`` and ``commute_set`` read as empty
+dicts; a subclass may compute them on first read instead (the router's DAGs
+do).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .circuit import Circuit
 
@@ -20,11 +29,8 @@ class CircuitDag:
         self.gates = circuit.gates
         self.order = range(len(self.gates))
         self.wires: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
-        # annotations written by the analysis passes
-        self.block_id: dict[int, int] = {}
         self.block_cx: dict[int, int] = {}
         self.block_cx_with_swap: dict[int, int] = {}
-        self.commute_set: dict[tuple[int, int], int] = {}
 
         for nid, gate in enumerate(self.gates):
             for q in gate.qubits:
@@ -35,6 +41,14 @@ class CircuitDag:
         for q, wire in enumerate(self.wires):
             for pos, nid in enumerate(wire):
                 self.wire_pos[(nid, q)] = pos
+
+    @cached_property
+    def block_id(self) -> dict[int, int]:
+        return {}
+
+    @cached_property
+    def commute_set(self) -> dict[tuple[int, int], int]:
+        return {}
 
     def with_gates(self, gates) -> CircuitDag:
         """The DAG of the same registers holding `gates` instead."""
@@ -60,5 +74,5 @@ class CircuitDag:
         return sorted(succs)
 
 
-def build_dag(circuit: Circuit) -> CircuitDag:
-    return CircuitDag(circuit)
+def build_dag(circuit: Circuit, cls: type[CircuitDag] = CircuitDag) -> CircuitDag:
+    return cls(circuit)

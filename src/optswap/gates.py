@@ -160,6 +160,12 @@ SWAP_MATRIX = np.array(
 )
 
 
+# shared by every gate of their kind: never written
+for _m in (*_FIXED_1Q.values(), CX_MATRIX, SWAP_MATRIX):
+    _m.flags.writeable = False
+del _m
+
+
 def _controlled(u: np.ndarray) -> np.ndarray:
     """Control on local qubit 0 (LSB), target on local qubit 1."""
     m = np.eye(4, dtype=complex)

@@ -15,18 +15,37 @@ gate pair or 1q run with the same content in any later round:
 - ``content_ids``: per gate id, the id of the gate's content, its kind and
   its params rounded to 12 places (``contents`` interns them): all that
   ``gates_commute`` reads of a gate besides its wires;
-- ``content_commute``: per (content id, content id, the two gates' wires
-  relabelled as ``gates_commute`` relabels them), the same decision, so a
-  pair new to ``commute`` is decided once for all wires it appears on;
+- ``content_commute``: per (content id, content id, how the two gates meet),
+  the same decision, so a pair new to ``commute`` is decided once for all
+  wires it appears on.  A 1q gate and a CX or CZ meet in a role: on the
+  CX's control, on its target, or on the CZ; any other pair meets in its
+  wires relabelled as ``gates_commute`` relabels them
+  (``commutation._decide``);
 - ``merges``: per run of adjacent 1q gates, what replaces it
-  (``synthesis.merge_1q_runs``).
+  (``synthesis.merge_1q_runs``);
+- ``matrices``: per exact content (``exact_content``), the gate's matrix,
+  built once and read-only (``matrix``), for the block unitaries and 1q-run
+  products of ``synthesis``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .gates import Gate
+import numpy as np
+
+from .gates import Gate, gate_matrix
+
+
+def exact_content(gate: Gate) -> tuple:
+    """A gate's kind and params, each zero param with its sign: 0.0 == -0.0,
+    but their matrices differ in signed zeros, which ``np.angle`` can read
+    as +pi or -pi."""
+    params = gate.params
+    if 0.0 in params:
+        params = tuple((p, math.copysign(1.0, p)) for p in params)
+    return gate.kind, params
 
 
 @dataclass(slots=True)
@@ -49,6 +68,17 @@ class CompileMemo:
     contents: dict[tuple, int] = field(default_factory=dict)
     content_ids: list[int] = field(default_factory=list)
     content_commute: dict[tuple, bool] = field(default_factory=dict)
+    matrices: dict[tuple, np.ndarray] = field(default_factory=dict)
+
+    def matrix(self, gate: Gate) -> np.ndarray:
+        """``gate_matrix(gate)``, built once per exact content; read-only,
+        since every gate of that content shares it."""
+        key = exact_content(gate)
+        m = self.matrices.get(key)
+        if m is None:
+            m = self.matrices[key] = gate_matrix(gate)
+            m.flags.writeable = False
+        return m
 
     def gate_id(self, gate: Gate) -> int:
         """The gate's id in this compile, given on first sight, when its

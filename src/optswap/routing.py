@@ -21,6 +21,13 @@ Each iteration otherwise redoes only what the last SWAP changed, as in
 LightSABRE: a drain re-checks only the front gates on the SWAP's two qubits
 and, sweep by sweep, the gates just made ready; a candidate's predicted
 savings are recomputed only when one of its two wires changed.
+
+The annotations the predictors read are computed on demand
+(``_RoutingDag``): a DAG's blocks and commute sets on the first
+``predict_c2q`` or ``predict_ccommute1`` read, and a block's CNOT counts
+when that block is first read.  So the baseline, which predicts nothing,
+computes none of them, and the optimization-aware router computes the
+costs of only the blocks its candidates reach.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import math
 import time
 from bisect import insort
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +62,7 @@ from .synthesis import (
     min_cnot_count,
     predict_c2q,
 )
-from .topology import CouplingMap, all_pairs_distance, noise_distance
+from .topology import CouplingMap, NoiseProfile, all_pairs_distance, noise_distance
 
 SABRE = "sabre"
 NASSC = "nassc"
@@ -85,7 +93,7 @@ class RouterConfig:
     b_commute2: bool = True
     seed: int = 0
     traversals: int = 3
-    noise_profile: object | None = None  # NoiseProfile for noise-aware distances
+    noise_profile: NoiseProfile | None = None  # for noise-aware distances
 
     def __post_init__(self):
         if self.algorithm not in (SABRE, NASSC):
@@ -97,9 +105,17 @@ class RouterConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         weight = self.extended_weight
-        if not math.isfinite(weight) or weight < 0:
+        if (isinstance(weight, bool) or not isinstance(weight, (int, float))
+                or not math.isfinite(weight) or weight < 0):
             # a NaN weight would leave every candidate's cost NaN
             raise ValueError(f"extended_weight must be finite and nonnegative, got {weight!r}")
+        # a truthy string such as "false" would switch a predictor on
+        for name in ("b_2q", "b_commute1", "b_commute2"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if self.noise_profile is not None and not isinstance(self.noise_profile, NoiseProfile):
+            raise ValueError(f"noise_profile must be a NoiseProfile, got {self.noise_profile!r}")
 
     def flags(self) -> tuple[bool, bool, bool]:
         if self.algorithm == SABRE:
@@ -577,14 +593,14 @@ def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
         res = block_results(memo, gates, blk.qubit_pair)
         u = None
         if res.cx is None:
-            u = block_unitary(blk, dag)
+            u = block_unitary(blk, dag, memo)
             res.cx = min_cnot_count(u)
         if not has_foreign and res.cx >= cx_count:
             continue
         if res.gates is None:
             # the key holds all pair_unitary reads, so res.cx is u's count
             if u is None:
-                u = block_unitary(blk, dag)
+                u = block_unitary(blk, dag, memo)
             res.gates = kak_synthesize(u, (0, 1), 2, res.cx).gates
         # Anchor the replacement at the first two-qubit member: leading 1q
         # members were collected before it but nothing else touches their
@@ -617,11 +633,48 @@ def optimize_circuit(circuit: Circuit, memo: CompileMemo) -> Circuit:
     return dag.circuit
 
 
+class _OnMiss(dict):
+    """A dict that calls ``fill(key)`` to store a key it misses."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self.fill(key)
+        return self[key]
+
+
+class _RoutingDag(CircuitDag):
+    """A DAG whose routing annotations are computed when a predictor first
+    reads them: ``predict_c2q`` collects the blocks of the whole DAG and
+    reads one block's CNOT counts, which are computed for that block only,
+    and ``predict_ccommute1`` runs the commutation analysis.  A router that
+    predicts nothing (SABRE) computes none of them."""
+
+    memo: CompileMemo
+
+    @cached_property
+    def block_id(self) -> dict[int, int]:
+        blocks = collect_blocks(self)  # assigns self.block_id
+
+        def costs(bid: int) -> None:
+            annotate_block_costs(self, [blocks[bid]], self.memo)
+
+        self.block_cx = _OnMiss(costs)
+        self.block_cx_with_swap = _OnMiss(costs)
+        return self.block_id
+
+    @cached_property
+    def commute_set(self) -> dict[tuple[int, int], int]:
+        commutation_analysis(self, self.memo)  # assigns self.commute_set
+        return self.commute_set
+
+
 def _annotate_for_routing(circuit: Circuit, memo: CompileMemo) -> CircuitDag:
-    dag = build_dag(circuit)
-    blocks = collect_blocks(dag)
-    annotate_block_costs(dag, blocks, memo)
-    commutation_analysis(dag, memo)
+    """The router's DAG of `circuit`, annotated on demand from `memo`."""
+    dag = build_dag(circuit, _RoutingDag)
+    dag.memo = memo
     return dag
 
 

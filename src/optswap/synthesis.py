@@ -19,7 +19,9 @@ on the local pair (0, 1) are stored, each on first need; no matrix is kept.
 Synthesis seeds its own rng and reaches the pair only through the qubit
 labels of the gates it emits, so remapping the stored gates onto the real
 pair gives what synthesizing on that pair gives.  Likewise a 1q run's merge
-is stored under the run's kinds and params (``_run_key``), without its wire.
+is stored under the run's kinds and params (``_run_key``), without its wire,
+and the block unitaries and run products take each gate's matrix from the
+memo (``CompileMemo.matrix``), built once per gate content.
 ``merge_1q_runs`` takes a DAG and returns one, like every optimization pass;
 it returns its argument when no run changes.
 """
@@ -47,7 +49,7 @@ from .gates import (
     u3_gate_from_matrix,
     u3_params,
 )
-from .memo import BlockResults, CompileMemo
+from .memo import BlockResults, CompileMemo, exact_content
 
 _TOL = 1e-8
 
@@ -101,6 +103,7 @@ _Q_ONE_CNOT = np.array(
 ) / math.sqrt(2)
 
 _I2, _I4 = np.eye(2), np.eye(4)
+_I2C = np.eye(2, dtype=complex)
 
 _W0, _W1 = 0, 1  # internal wire names; _W0 maps to the pair's second qubit
 
@@ -312,7 +315,7 @@ def _ops_to_circuit(ops, pair: tuple[int, int], num_qubits: int) -> Circuit:
     for op in ops:
         if op[0] == "1q":
             q = qubit_of[op[1]]
-            pending[q] = op[2] @ pending.get(q, np.eye(2, dtype=complex))
+            pending[q] = op[2] @ pending.get(q, _I2C)
         else:
             for q in (qubit_of[op[1]], qubit_of[op[2]]):
                 flush(q)
@@ -322,12 +325,13 @@ def _ops_to_circuit(ops, pair: tuple[int, int], num_qubits: int) -> Circuit:
     return Circuit(num_qubits, tuple(gates))
 
 
-def pair_unitary(gates, pair: tuple[int, int]) -> np.ndarray:
-    """Product of gate matrices in the pair frame of (a, b)."""
+def pair_unitary(gates, pair: tuple[int, int], matrix=gate_matrix) -> np.ndarray:
+    """Product of gate matrices in the pair frame of (a, b); ``matrix(g)``
+    gives a gate's matrix (``CompileMemo.matrix`` within a compile)."""
     a, b = pair
     u = np.eye(4, dtype=complex)
     for g in gates:
-        m = gate_matrix(g)
+        m = matrix(g)
         if g.num_qubits == 1:
             m4 = kron(_I2, m) if g.qubits[0] == a else kron(m, _I2)
         elif g.qubits == (a, b):
@@ -338,6 +342,11 @@ def pair_unitary(gates, pair: tuple[int, int]) -> np.ndarray:
             raise SynthesisError(f"gate {g.kind.value}{g.qubits} outside pair {pair}")
         u = m4 @ u
     return u
+
+
+# the undressed attempt's factors, split from the identity exactly as the
+# dressed attempts split left^† (conj() gives its zeros their signs)
+_IDENTITY_FACTORS = _su2su2_factors(np.eye(4, dtype=complex).conj().T)
 
 
 def _random_local(rng) -> np.ndarray:
@@ -359,13 +368,17 @@ def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None 
     rng = np.random.default_rng(0x5EED)
     for attempt in range(24):
         if attempt == 0:
-            left = right = np.eye(4, dtype=complex)
             target = u
+            # undressed: the factors of the identity
+            (la_i, lb_i), (ra_i, rb_i) = _IDENTITY_FACTORS, _IDENTITY_FACTORS
         else:
             la, lb = _random_local(rng), _random_local(rng)
             ra, rb = _random_local(rng), _random_local(rng)
             left, right = kron(la, lb), kron(ra, rb)
             target = left @ u @ right
+            # undo the dressing: u = left^† target right^†
+            la_i, lb_i = _su2su2_factors(left.conj().T)
+            ra_i, rb_i = _su2su2_factors(right.conj().T)
         try:
             if count == 3 and min_cnot_count(target @ _SWAP4) == 0:
                 ops = _ops_swap_times_local(target)
@@ -373,9 +386,6 @@ def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None 
                 ops = builders[count](target)
         except (np.linalg.LinAlgError, FloatingPointError):
             continue
-        # undo the dressing: u = left^† target right^†
-        la_i, lb_i = _su2su2_factors(left.conj().T)
-        ra_i, rb_i = _su2su2_factors(right.conj().T)
         full = (
             [("1q", _W0, ra_i), ("1q", _W1, rb_i)]
             + ops
@@ -445,15 +455,13 @@ def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
         blocks.append(blk)
         open_block[a] = open_block[b] = blk
 
-    dag.block_id.clear()
-    for blk in blocks:
-        for nid in blk.node_ids:
-            dag.block_id[nid] = blk.block_id
+    dag.block_id = {nid: blk.block_id for blk in blocks for nid in blk.node_ids}
     return blocks
 
 
-def block_unitary(block: TwoQubitBlock, dag: CircuitDag) -> np.ndarray:
-    return pair_unitary([dag.gates[nid] for nid in block.node_ids], block.qubit_pair)
+def block_unitary(block: TwoQubitBlock, dag: CircuitDag, memo: CompileMemo) -> np.ndarray:
+    return pair_unitary([dag.gates[nid] for nid in block.node_ids], block.qubit_pair,
+                        memo.matrix)
 
 
 def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResults:
@@ -471,15 +479,14 @@ def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResul
 
 def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
                          memo: CompileMemo) -> None:
-    """Cache per-block CNOT counts with and without an appended SWAP, so the
+    """Write each given block's CNOT counts with and without an appended
+    SWAP into ``dag.block_cx`` and ``dag.block_cx_with_swap``, so the
     router's block predictor is a dictionary lookup."""
-    dag.block_cx.clear()
-    dag.block_cx_with_swap.clear()
     for blk in blocks:
         gates = [dag.gates[nid] for nid in blk.node_ids]
         res = block_results(memo, gates, blk.qubit_pair)
         if res.cx is None or res.cx_with_swap is None:
-            u = block_unitary(blk, dag)
+            u = block_unitary(blk, dag, memo)
             if res.cx is None:
                 res.cx = min_cnot_count(u)
             if res.cx_with_swap is None:
@@ -531,7 +538,7 @@ def merge_1q_runs(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
             key = _run_key(gates)
             merged = merges.get(key, _UNSEEN)
             if merged is _UNSEEN:
-                merged = merges[key] = _merge_run(gates)
+                merged = merges[key] = _merge_run(gates, memo)
             if merged is None:
                 replacement[run[0]] = None
             elif merged is not True:
@@ -549,25 +556,19 @@ _UNSEEN = object()
 
 
 def _run_key(gates: list[Gate]) -> tuple:
-    """A run's content: per gate, its kind and params.  A zero param also
-    keeps its sign: 0.0 == -0.0, but their matrices differ in signed zeros,
-    which ``np.angle`` can read as +pi or -pi."""
-    return tuple(
-        (g.kind, g.params if 0.0 not in g.params
-         else tuple((p, math.copysign(1.0, p)) for p in g.params))
-        for g in gates
-    )
+    """A run's content: per gate, its exact content (``memo.exact_content``)."""
+    return tuple(map(exact_content, gates))
 
 
-def _merge_run(gates: list[Gate]) -> tuple[float, float, float] | bool | None:
+def _merge_run(gates: list[Gate], memo: CompileMemo) -> tuple[float, float, float] | bool | None:
     """What replaces a run of adjacent 1q gates on one wire (oldest first):
     None drops it, True keeps a lone gate as it is, and otherwise the run
     becomes one u3 with the returned params."""
     if len(gates) == 1:
-        return None if is_identity_up_to_phase(gate_matrix(gates[0]), 1e-10) else True
+        return None if is_identity_up_to_phase(memo.matrix(gates[0]), 1e-10) else True
     m = np.eye(2, dtype=complex)
     for gate in gates:
-        m = gate_matrix(gate) @ m
+        m = memo.matrix(gate) @ m
     if is_identity_up_to_phase(m, 1e-10):
         return None
     return u3_params(m)[:3]

@@ -150,7 +150,12 @@ def test_bench_spec_loader(tmp_path):
     assert with_large.circuits == ["grover_n4", "vqe_n8"]
 
 
-@pytest.mark.parametrize("entry", [{"traversals": 2.5}, {"seed": -1}])
+@pytest.mark.parametrize("entry", [
+    {"traversals": 2.5}, {"seed": -1},
+    # "false" used to run with the predictor on, tagged plain "nassc"
+    {"b_2q": "false"}, {"b_commute1": 0}, {"b_commute2": None},
+    {"extended_weight": "0.5"}, {"extended_weight": True},
+])
 def test_bench_spec_rejects_bad_router_values(tmp_path, entry):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"circuits": ["grover_n4"],
@@ -287,3 +292,20 @@ def test_cli_errors_are_exit_codes(tmp_path, capsys):
     assert main(["route", "--in", str(bad), "--coupling", "linear(3)",
                  "--out", str(tmp_path / "x.qasm")]) == 2
     assert "error: ParseError: line 2: " in capsys.readouterr().err
+
+
+def test_cli_debug_reraises_with_the_traceback(tmp_path, capsys):
+    missing = str(tmp_path / "missing.qasm")
+    commands = [
+        ["route", "--in", missing, "--coupling", "linear(3)", "--out", str(tmp_path / "x.qasm")],
+        ["verify", "--a", missing, "--b", missing, "--perm", missing],
+        ["bench", "--spec", missing],
+    ]
+    for argv in commands:
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+        with pytest.raises(FileNotFoundError) as raised:
+            main(argv + ["--debug"])
+        # raised where the file was opened, not re-made by the CLI
+        assert "cli.py" not in str(raised.traceback[-1].path)
+        assert capsys.readouterr().err == ""

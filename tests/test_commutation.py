@@ -7,6 +7,7 @@ from optswap.circuit import Circuit
 from optswap.commutation import (
     _commutator_max,
     _commute_key,
+    _decide,
     _embedded,
     commutation_analysis,
     commutative_cancellation,
@@ -147,6 +148,29 @@ def test_commutator_of_1q_gate_and_controlled_pauli_matches_embedding(rng):
                             near += 1e-11 < want < 1e-7
     assert decisions == {True, False}
     assert near > 500
+
+
+def test_role_keyed_decisions_equal_gates_commute(rng):
+    """Every 1q kind against CX and CZ, on either wire, either way round, in
+    both argument orders, at random and near-threshold angles: each decision
+    ``_decide`` takes from one memo, shared by the orientations of the same
+    role, equals ``gates_commute`` for that orientation."""
+    memo = CompileMemo()
+    shared = 0
+    for kind in _ONE_Q:
+        for pauli in (GateKind.CX, GateKind.CZ):
+            for params in _params_near_threshold(kind, rng):
+                for wire in (3, 5):
+                    for pair in ((3, 5), (5, 3)):
+                        one, two = Gate(kind, (wire,), params), Gate(pauli, pair)
+                        for first, second in ((one, two), (two, one)):
+                            before = len(memo.content_commute)
+                            got = _decide(memo, memo.gate_id(first), first,
+                                          memo.gate_id(second), second)
+                            assert got == gates_commute(first, second), (first, second)
+                            shared += len(memo.content_commute) == before
+    # per content pair: CZ in one role, CX in two, of 8 orientations each
+    assert len(memo.content_commute) < shared
 
 
 def test_shared_target_cx_commute():

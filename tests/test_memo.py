@@ -17,7 +17,7 @@ from optswap import commutation, routing
 from optswap.circuit import Circuit
 from optswap.commutation import commutation_analysis
 from optswap.dag import build_dag
-from optswap.gates import Gate, GateKind
+from optswap.gates import Gate, GateKind, gate_matrix
 from optswap.memo import CompileMemo
 from optswap.qasm import serialize_qasm
 from optswap.routing import (
@@ -33,6 +33,7 @@ from optswap.sim import circuit_unitary
 from optswap.synthesis import merge_1q_runs
 from optswap.topology import grid_map
 
+from annotate_reference import assert_same_annotations, force_annotations
 from conftest import phase_distance
 
 
@@ -49,7 +50,8 @@ def forgetful() -> CompileMemo:
     zeros."""
     return CompileMemo(blocks=_Forgetful(), gate_ids=_Forgetful(),
                        commute=_Forgetful(), merges=_Forgetful(),
-                       contents=_Forgetful(), content_commute=_Forgetful())
+                       contents=_Forgetful(), content_commute=_Forgetful(),
+                       matrices=_Forgetful())
 
 
 def random_cx(rng, n, count):
@@ -83,23 +85,21 @@ def assert_same_circuit(a: Circuit, b: Circuit):
 
 def optimize_and_annotate(circuit: Circuit, memo: CompileMemo):
     """Pre-optimization and both routing annotations, as full_pipeline runs
-    them: one memo for all three."""
+    them: one memo for all three, with every annotation forced."""
     logical = optimize_circuit(circuit, memo)
     reverse = logical.with_gates(tuple(reversed(logical.gates)))
-    return logical, [_annotate_for_routing(c, memo) for c in (logical, reverse)]
+    return logical, [force_annotations(_annotate_for_routing(c, memo))
+                     for c in (logical, reverse)]
 
 
 def assert_memo_changes_nothing(circuit: Circuit):
     memo = CompileMemo()
     got, got_dags = optimize_and_annotate(circuit, memo)
     want, want_dags = optimize_and_annotate(circuit, forgetful())
-    assert memo.blocks and memo.commute and memo.content_commute
+    assert memo.blocks and memo.commute and memo.content_commute and memo.matrices
     assert_same_circuit(got, want)
     for dag, ref in zip(got_dags, want_dags):
-        assert dag.block_id == ref.block_id
-        assert dag.block_cx == ref.block_cx
-        assert dag.block_cx_with_swap == ref.block_cx_with_swap
-        assert dag.commute_set == ref.commute_set
+        assert_same_annotations(dag, ref)
 
 
 def compile_both_ways(monkeypatch, circuit, cmap, cfg):
@@ -275,6 +275,29 @@ def test_merge_memo_keeps_the_sign_of_zero_params():
             for q, (z1, z2) in enumerate([(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])]
     memo = merged_with_and_without_memo([Circuit(4, tuple(g for run in runs for g in run))])
     assert len(memo.merges) == 4
+
+
+def test_matrix_memo_keeps_signed_zeros_apart_and_read_only():
+    memo = CompileMemo()
+    gates = [Gate(GateKind.U3, (q,), params) for q, params in enumerate(
+        [(0.0, 0.3, 0.0), (-0.0, 0.3, 0.0), (0.0, 0.3, -0.0), (0.0, 0.3, 0.0)])]
+    gates += [Gate(GateKind.RZ, (0,), (0.0,)), Gate(GateKind.RZ, (1,), (-0.0,)),
+              Gate(GateKind.H, (0,)), Gate(GateKind.CZ, (0, 1)),
+              Gate(GateKind.CRX, (0, 1), (-0.0,))]
+    for gate in gates:
+        m = memo.matrix(gate)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
+        assert m is memo.matrix(gate.remapped({q: q + 5 for q in gate.qubits}))
+        want = gate_matrix(gate)
+        # bit for bit, signed zeros included
+        assert m.tobytes() == want.tobytes()
+    # the first and last u3 share one entry; each signed zero is its own
+    assert len(memo.matrices) == len(gates) - 1
+    assert memo.matrix(gates[0]) is memo.matrix(gates[3])
+    assert memo.matrix(gates[0]) is not memo.matrix(gates[1])
+    assert memo.matrix(gates[4]) is not memo.matrix(gates[5])
 
 
 def _module_state():

@@ -8,7 +8,7 @@ from optswap.circuit import Circuit, metrics
 from optswap.commutation import DecompositionLabel
 from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
-from optswap import routing
+from optswap import commutation, routing, synthesis
 from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
@@ -36,7 +36,9 @@ from optswap.routing import (
 from optswap.sim import circuit_unitary, equivalent_up_to_permutation
 from optswap.topology import NoiseProfile, grid_map, linear_map, montreal_map
 
+from annotate_reference import annotate_eagerly, assert_same_annotations, force_annotations
 from conftest import phase_distance
+from test_memo import forgetful
 from direct_score import direct_score
 from route_reference import reference_route, score_candidate
 
@@ -115,6 +117,19 @@ def test_router_config_rejects_bad_extended_size(size):
     ("traversals", 0), ("traversals", -4),
 ])
 def test_router_config_rejects_bad_seed_or_traversals(field, value):
+    with pytest.raises(ValueError, match=field):
+        RouterConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    # a truthy string switched the predictor on under the plain nassc tag
+    ("b_2q", "false"), ("b_commute1", 1), ("b_commute2", None),
+    # a string leaked TypeError, and True was taken as a weight of 1.0
+    ("extended_weight", "0.5"), ("extended_weight", True), ("extended_weight", None),
+    # failed later, inside the distance computation, with AttributeError
+    ("noise_profile", 123), ("noise_profile", {"cx_error": {}}),
+])
+def test_router_config_rejects_bad_flags_weight_or_noise(field, value):
     with pytest.raises(ValueError, match=field):
         RouterConfig(**{field: value})
 
@@ -690,3 +705,91 @@ def test_optimize_circuit_reaches_fixpoint(rng):
     again = optimize_circuit(once, CompileMemo())
     assert once.gates == again.gates
     assert phase_distance(circuit_unitary(once), circuit_unitary(circ)) < 1e-8
+
+
+# -- routing annotations on demand ----------------------------------------------
+
+
+def random_annotated_circuit(rng, n, count):
+    """CX, CZ and CRX among H, RZ and u3: blocks of every CNOT count and
+    commute sets of every kind."""
+    gates = []
+    for _ in range(count):
+        kind = [GateKind.CX, GateKind.CZ, GateKind.CRX, GateKind.H, GateKind.RZ,
+                GateKind.U3][int(rng.integers(6))]
+        if kind in (GateKind.CX, GateKind.CZ, GateKind.CRX):
+            qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        else:
+            qubits = (int(rng.integers(n)),)
+        arity = {GateKind.RZ: 1, GateKind.U3: 3, GateKind.CRX: 1}.get(kind, 0)
+        gates.append(Gate(kind, qubits, tuple(rng.uniform(-math.pi, math.pi, arity))))
+    return Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_annotations_on_demand_equal_eager_ones(seed):
+    rng = np.random.default_rng([seed, 17])
+    memo = CompileMemo()
+    logical = optimize_circuit(random_annotated_circuit(rng, 6, 120), memo)
+    for circ in (logical, logical.with_gates(tuple(reversed(logical.gates)))):
+        dag = _annotate_for_routing(circ, memo)
+        assert not vars(dag).keys() & {"block_id", "commute_set"}  # none computed yet
+        force_annotations(dag)
+        assert dag.block_id and dag.commute_set
+        assert_same_annotations(dag, annotate_eagerly(circ, forgetful()))
+
+
+def annotation_calls(monkeypatch) -> list:
+    """Records (name, whether it ran on a router's DAG, whether it ran while
+    routing) for every block, block-cost and commutation analysis and every
+    ``min_cnot_count`` of a compile."""
+    calls, routing_now = [], []
+
+    def spy(owner, name, on_dag):
+        fn = getattr(owner, name)
+
+        def recorded(*args):
+            on_router_dag = on_dag and type(args[0]) is routing._RoutingDag
+            calls.append((name, on_router_dag, bool(routing_now)))
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    def routing_stage(name):
+        fn = getattr(routing, name)
+
+        def staged(*args):
+            routing_now.append(name)
+            try:
+                return fn(*args)
+            finally:
+                routing_now.pop()
+
+        monkeypatch.setattr(routing, name, staged)
+
+    for name in ("collect_blocks", "annotate_block_costs", "commutation_analysis"):
+        spy(routing, name, True)
+    spy(commutation, "commutation_analysis", True)
+    spy(synthesis, "min_cnot_count", False)
+    spy(routing, "min_cnot_count", False)
+    routing_stage("initial_mapping")
+    routing_stage("route")
+    return calls
+
+
+def test_sabre_compile_computes_no_routing_annotation(monkeypatch):
+    circ = random_annotated_circuit(np.random.default_rng(5), 6, 80)
+    calls = annotation_calls(monkeypatch)
+    full_pipeline(circ, grid_map(2, 3), RouterConfig(algorithm=SABRE))
+    assert calls  # the optimization passes ran
+    assert not [c for c in calls if c[1] or c[2]]
+    calls.clear()
+    full_pipeline(circ, grid_map(2, 3), RouterConfig(algorithm=NASSC))
+    on_demand = [c for c in calls if c[1] or c[2]]
+    names = {name for name, _, _ in on_demand}
+    assert names == {"collect_blocks", "annotate_block_costs", "commutation_analysis",
+                     "min_cnot_count"}
+    # blocks and commute sets once per DAG, each on the router's DAG
+    assert sum(name == "collect_blocks" for name, _, _ in on_demand) == 2
+    assert sum(name == "commutation_analysis" for name, _, _ in on_demand) == 2
+    assert all(on_dag for name, on_dag, _ in on_demand if name != "min_cnot_count")

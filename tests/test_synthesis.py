@@ -207,15 +207,15 @@ def test_every_2q_gate_in_exactly_one_block(rng):
 def test_block_unitary_products():
     dag = build_dag(Circuit(2, (cx(0, 1), cx(0, 1))))
     (block,) = collect_blocks(dag)
-    assert np.allclose(block_unitary(block, dag), np.eye(4))
+    assert np.allclose(block_unitary(block, dag, CompileMemo()), np.eye(4))
 
     dag = build_dag(Circuit(2, (Gate(GateKind.SWAP, (0, 1)),)))
     (block,) = collect_blocks(dag)
-    assert np.allclose(block_unitary(block, dag), SWAP_MATRIX)
+    assert np.allclose(block_unitary(block, dag, CompileMemo()), SWAP_MATRIX)
 
     dag = build_dag(Circuit(2, (cx(0, 1), Gate(GateKind.SWAP, (0, 1)))))
     (block,) = collect_blocks(dag)
-    assert np.allclose(block_unitary(block, dag), SWAP_MATRIX @ CX_MATRIX)
+    assert np.allclose(block_unitary(block, dag, CompileMemo()), SWAP_MATRIX @ CX_MATRIX)
 
 
 def test_block_unitary_reversed_pair_orientation():
@@ -223,7 +223,7 @@ def test_block_unitary_reversed_pair_orientation():
     dag = build_dag(Circuit(2, (cx(0, 1), cx(1, 0))))
     (block,) = collect_blocks(dag)
     assert block.qubit_pair == (0, 1)
-    u = block_unitary(block, dag)
+    u = block_unitary(block, dag, CompileMemo())
     assert np.allclose(u, (SWAP_MATRIX @ CX_MATRIX @ SWAP_MATRIX) @ CX_MATRIX)
 
 
@@ -363,6 +363,6 @@ def test_block_resynthesis_preserves_simulation(rng):
     blocks = collect_blocks(dag)
     u_full = circuit_unitary(circ)
     for blk in blocks:
-        u = block_unitary(blk, dag)
+        u = block_unitary(blk, dag, CompileMemo())
         synth = kak_synthesize(u, blk.qubit_pair, 3)
         assert phase_distance(pair_unitary(synth.gates, blk.qubit_pair), u) < 1e-8
