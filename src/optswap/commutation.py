@@ -128,20 +128,16 @@ def gates_commute(g1: Gate, g2: Gate) -> bool:
 
 def _decide(memo: CompileMemo, gid: int, gate: Gate, oid: int, other: Gate) -> bool:
     """``gates_commute(gate, other)`` for an id pair new to the compile,
-    decided once per content pair and the way the two gates meet: the
-    decision reads nothing else of them.
-
-    A 1q gate against a CX or CZ on one of its wires meets it in a role: on
-    the CX's control (0), on its target (1), or on the CZ (-1).  The closed
-    form of ``_commutator_max`` reads only the 1q content, the kind of the
-    other gate and that role, whichever gate comes first, so both argument
-    orders and every wire pair share one decision.  Any other pair meets in
-    its wires, relabelled in one tuple; its split is fixed by the first
-    gate's kind, except for a barrier, which commutes with nothing anyway."""
+    decided once per content pair and the way the two gates meet, which is
+    all the decision reads of them.  A 1q gate meets a CX or CZ on one of
+    its wires in a role, whichever comes first: on the CX's control (0), on
+    its target (1), or on the CZ (-1); ``_commutator_max`` reads no more.
+    Any other pair meets in its wires, relabelled in one tuple; its split is
+    fixed by the first gate's kind, except for a barrier, which commutes
+    with nothing anyway."""
     ids = memo.content_ids
-    one, pauli, one_id, pauli_id = gate, other, gid, oid
-    if one.num_qubits == 2:
-        one, pauli, one_id, pauli_id = other, gate, oid, gid
+    one, pauli, one_id, pauli_id = ((gate, other, gid, oid) if gate.num_qubits == 1
+                                    else (other, gate, oid, gid))
     if (one.kind in _ONE_QUBIT and pauli.kind in _CONTROLLED_PAULI
             and one.qubits[0] in pauli.qubits):
         role = -1 if pauli.kind is GateKind.CZ else pauli.qubits.index(one.qubits[0])

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from bisect import insort
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -646,20 +647,22 @@ class _OnMiss(dict):
 
 
 class _RoutingDag(CircuitDag):
-    """A DAG whose routing annotations are computed when a predictor first
-    reads them: ``predict_c2q`` collects the blocks of the whole DAG and
-    reads one block's CNOT counts, which are computed for that block only,
-    and ``predict_ccommute1`` runs the commutation analysis.  A router that
-    predicts nothing (SABRE) computes none of them."""
+    """A DAG whose routing annotations are computed on first read: the
+    blocks and commute sets of the whole DAG, and each block's CNOT counts
+    on their own."""
 
     memo: CompileMemo
 
     @cached_property
     def block_id(self) -> dict[int, int]:
         blocks = collect_blocks(self)  # assigns self.block_id
+        # a strong reference would put the DAG, and with it the compile's
+        # memo, in a cycle that outlives the compile until a full collection
+        ref = weakref.ref(self)
 
         def costs(bid: int) -> None:
-            annotate_block_costs(self, [blocks[bid]], self.memo)
+            dag = ref()
+            annotate_block_costs(dag, [blocks[bid]], dag.memo)
 
         self.block_cx = _OnMiss(costs)
         self.block_cx_with_swap = _OnMiss(costs)

@@ -15,13 +15,13 @@ Within one compile the block results are memoized (``memo.CompileMemo``):
 a block's key is its content, per gate (kind, positions of its qubits in the
 block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
 CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
-on the local pair (0, 1) are stored, each on first need; no matrix is kept.
-Synthesis seeds its own rng and reaches the pair only through the qubit
-labels of the gates it emits, so remapping the stored gates onto the real
-pair gives what synthesizing on that pair gives.  Likewise a 1q run's merge
-is stored under the run's kinds and params (``_run_key``), without its wire,
-and the block unitaries and run products take each gate's matrix from the
-memo (``CompileMemo.matrix``), built once per gate content.
+on the local pair (0, 1) are stored, each on first need; no block unitary
+is kept.  Synthesis seeds its own rng and reaches the pair only through the
+qubit labels of the gates it emits, so remapping the stored gates onto the
+real pair gives what synthesizing on that pair gives.  Likewise a 1q run's
+merge is stored under its gates' exact contents (``memo.exact_content``),
+without its wire.  Block unitaries and run products take each gate's
+matrix from the memo (``CompileMemo.matrix``), built once per content.
 ``merge_1q_runs`` takes a DAG and returns one, like every optimization pass;
 it returns its argument when no run changes.
 """
@@ -535,7 +535,7 @@ def merge_1q_runs(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
             if not run:
                 continue
             gates = [dag.gates[n] for n in run]
-            key = _run_key(gates)
+            key = tuple(map(exact_content, gates))
             merged = merges.get(key, _UNSEEN)
             if merged is _UNSEEN:
                 merged = merges[key] = _merge_run(gates, memo)
@@ -553,11 +553,6 @@ def merge_1q_runs(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
 
 
 _UNSEEN = object()
-
-
-def _run_key(gates: list[Gate]) -> tuple:
-    """A run's content: per gate, its exact content (``memo.exact_content``)."""
-    return tuple(map(exact_content, gates))
 
 
 def _merge_run(gates: list[Gate], memo: CompileMemo) -> tuple[float, float, float] | bool | None:

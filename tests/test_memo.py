@@ -277,6 +277,28 @@ def test_merge_memo_keeps_the_sign_of_zero_params():
     assert len(memo.merges) == 4
 
 
+def test_compile_frees_its_memo_without_the_cycle_collector(monkeypatch):
+    # the router's DAGs hold the memo; a cycle through them kept every
+    # compile's memo alive until the next full collection
+    memos = []
+
+    class Recorded(CompileMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(weakref.ref(self))
+
+    monkeypatch.setattr(routing, "CompileMemo", Recorded)
+    circ = random_angles(np.random.default_rng(11), 5, 80)
+    gc.disable()
+    try:
+        for algorithm in (SABRE, NASSC):
+            full_pipeline(circ, grid_map(2, 3), RouterConfig(algorithm=algorithm))
+            assert memos[-1]() is None
+    finally:
+        gc.enable()
+    assert len(memos) == 2
+
+
 def test_matrix_memo_keeps_signed_zeros_apart_and_read_only():
     memo = CompileMemo()
     gates = [Gate(GateKind.U3, (q,), params) for q, params in enumerate(
