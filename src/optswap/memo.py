@@ -6,12 +6,15 @@ Results are keyed on content, so a result found once serves every block,
 gate pair or 1q run with the same content in any later round:
 
 - ``blocks``: per two-qubit block content, its CNOT counts and re-synthesized
-  gates (``synthesis`` says what the key holds);
+  gates (``synthesis`` says what the key holds); a block with one CX, CY or
+  CZ gets its counts when its entry is made (``synthesis.block_results``);
 - ``gate_ids``: a small int per distinct ``Gate`` (ids follow ``Gate``
   equality), so that the decisions below are looked up by ints instead of
   by re-hashing and comparing gates;
 - ``commute``: per (gate id, gate id), whether the first gate commutes with
-  the second (``commutation.gates_commute``);
+  the second (``commutation.gates_commute``), for the optimization passes
+  and the router's sandwich predictor alike, whose physical gates get ids
+  too;
 - ``content_ids``: per gate id, the id of the gate's content, its kind and
   its params rounded to 12 places (``contents`` interns them): all that
   ``gates_commute`` reads of a gate besides its wires;

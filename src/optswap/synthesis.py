@@ -16,7 +16,12 @@ a block's key is its content, per gate (kind, positions of its qubits in the
 block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
 CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
 on the local pair (0, 1) are stored, each on first need; no block unitary
-is kept.  Synthesis seeds its own rng and reaches the pair only through the
+is kept.  A block whose one two-qubit gate is a CX, CY or CZ needs no
+numerics for its counts: with any 1q gates around it, it is locally
+equivalent to one CNOT (count 1), and with a SWAP appended to a DCNOT
+(count 2), the class split of Shende, Markov and Bullock (2004).  Such a
+block's gamma sits orders of magnitude inside both ``min_cnot_count``
+thresholds, so the closed form and the numerics agree.  Synthesis seeds its own rng and reaches the pair only through the
 qubit labels of the gates it emits, so remapping the stored gates onto the
 real pair gives what synthesizing on that pair gives.  Likewise a 1q run's
 merge is stored under its gates' exact contents (``memo.exact_content``),
@@ -464,9 +469,15 @@ def block_unitary(block: TwoQubitBlock, dag: CircuitDag, memo: CompileMemo) -> n
                         memo.matrix)
 
 
+# two-qubit kinds locally equivalent to one CNOT
+_ONE_CNOT_KINDS = frozenset({GateKind.CX, GateKind.CY, GateKind.CZ})
+
+
 def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResults:
     """The memo entry for a block's content: per gate, its kind, the
-    positions of its qubits in `pair` and its params."""
+    positions of its qubits in `pair` and its params.  A new entry for a
+    block whose one two-qubit gate is a CX, CY or CZ gets its CNOT counts
+    from that structure: 1, and 2 with a SWAP appended."""
     a = pair[0]
     key = tuple(
         (g.kind, tuple(0 if q == a else 1 for q in g.qubits), g.params) for g in gates
@@ -474,6 +485,9 @@ def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResul
     found = memo.blocks.get(key)
     if found is None:
         found = memo.blocks[key] = BlockResults()
+        two = [g.kind for g in gates if g.num_qubits == 2]
+        if len(two) == 1 and two[0] in _ONE_CNOT_KINDS:
+            found.cx, found.cx_with_swap = 1, 2
     return found
 
 

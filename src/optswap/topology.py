@@ -134,10 +134,42 @@ def builtin_map(name: str) -> CouplingMap:
     raise TopologyError(f"unknown builtin coupling map '{name}'")
 
 
-def load_coupling_map(path) -> CouplingMap:
+def _load_json(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return CouplingMap.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TopologyError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise TopologyError(f"{path}: expected a JSON object")
+    return data
+
+
+def _typed(value, kind, what: str):
+    """`value`, which must be a `kind` (a bool counts as no number)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TopologyError(f"{what} has the wrong type: {value!r}")
+    return value
+
+
+def _field(data: dict, name: str, kind, where: str):
+    if name not in data:
+        raise TopologyError(f"{where}: missing field '{name}'")
+    return _typed(data[name], kind, f"{where}: field '{name}'")
+
+
+def load_coupling_map(path) -> CouplingMap:
+    """``{"n": int, "edges": [[a, b], ...]}``; a malformed file raises a
+    ``TopologyError`` that names the field."""
+    data = _load_json(path)
+    n = _field(data, "n", int, str(path))
+    edges = []
+    for i, edge in enumerate(_field(data, "edges", list, str(path))):
+        what = f"{path}: field 'edges[{i}]'"
+        if len(_typed(edge, list, what)) != 2:
+            raise TopologyError(f"{what} is not a pair of qubits: {edge!r}")
+        edges.append(tuple(_typed(q, int, what) for q in edge))
+    return CouplingMap.from_edges(n, edges)
 
 
 def resolve_coupling(spec: str) -> CouplingMap:
@@ -201,15 +233,26 @@ class NoiseProfile:
 
 
 def load_noise_profile(path) -> NoiseProfile:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    """``{"edges": [{"a", "b", "cx_error", "swap_time"}, ...], "alphas":
+    [3 numbers]}`` (alphas optional); a malformed file raises a
+    ``TopologyError`` that names the field."""
+    data = _load_json(path)
+    number = (int, float)
     cx_error, swap_time = {}, {}
-    for entry in data["edges"]:
-        key = _norm_edge(int(entry["a"]), int(entry["b"]))
-        cx_error[key] = float(entry["cx_error"])
-        swap_time[key] = float(entry["swap_time"])
-    alphas = tuple(float(a) for a in data.get("alphas", (0.5, 0.0, 0.5)))
-    return NoiseProfile(cx_error, swap_time, alphas)
+    for i, entry in enumerate(_field(data, "edges", list, str(path))):
+        where = f"{path}: edges[{i}]"
+        _typed(entry, dict, where)
+        key = _norm_edge(_field(entry, "a", int, where), _field(entry, "b", int, where))
+        cx_error[key] = float(_field(entry, "cx_error", number, where))
+        swap_time[key] = float(_field(entry, "swap_time", number, where))
+    alphas = [0.5, 0.0, 0.5]
+    if "alphas" in data:
+        alphas = _field(data, "alphas", list, str(path))
+    what = f"{path}: field 'alphas'"
+    if len(alphas) != 3:
+        raise TopologyError(f"{what} must hold 3 numbers: {alphas!r}")
+    return NoiseProfile(cx_error, swap_time,
+                        tuple(float(_typed(a, number, what)) for a in alphas))
 
 
 def noise_distance(cmap: CouplingMap, profile: NoiseProfile) -> np.ndarray:

@@ -294,6 +294,59 @@ def test_cli_errors_are_exit_codes(tmp_path, capsys):
     assert "error: ParseError: line 2: " in capsys.readouterr().err
 
 
+_GOOD_MAP = {"n": 3, "edges": [[0, 1], [1, 2]]}
+_GOOD_EDGE = {"a": 0, "b": 1, "cx_error": 0.01, "swap_time": 1.0}
+
+
+@pytest.mark.parametrize("option, data, field", [
+    ("--coupling", {"n": 3}, "'edges'"),
+    ("--coupling", {"edges": [[0, 1]]}, "'n'"),
+    ("--coupling", {"n": "3", "edges": [[0, 1]]}, "'n'"),
+    ("--coupling", {"n": 3, "edges": [[0, 1], [1]]}, "'edges[1]'"),
+    ("--coupling", {"n": 3, "edges": [0, 1]}, "'edges[0]'"),
+    ("--coupling", {"n": 3, "edges": {"0": 1}}, "'edges'"),
+    ("--coupling", [[0, 1]], "JSON object"),
+    ("--noise", {"edges": [{"a": 0, "b": 1, "cx_error": 0.01}]}, "'swap_time'"),
+    ("--noise", {"edges": [_GOOD_EDGE, {"b": 2, "cx_error": 0.01, "swap_time": 1}]},
+     "edges[1]: missing field 'a'"),
+    ("--noise", {"edges": [dict(_GOOD_EDGE, cx_error="high")]}, "'cx_error'"),
+    ("--noise", {"edges": [[0, 1]]}, "edges[0]"),
+    ("--noise", {"edges": [_GOOD_EDGE], "alphas": [0.5, 0.5]}, "'alphas'"),
+    ("--noise", {"edges": [_GOOD_EDGE], "alphas": [0.5, True, 0.5]}, "'alphas'"),
+    ("--noise", {"alphas": [0.5, 0.0, 0.5]}, "'edges'"),
+])
+def test_cli_rejects_malformed_device_files(tmp_path, capsys, option, data, field):
+    src = tmp_path / "fig1.qasm"
+    src.write_text(FIG1_QASM)
+    good_map = tmp_path / "map.json"
+    good_map.write_text(json.dumps(_GOOD_MAP))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    files = {"--coupling": str(good_map), "--noise": None, option: str(bad)}
+    argv = ["route", "--in", str(src), "--coupling", files["--coupling"],
+            "--out", str(tmp_path / "x.qasm")]
+    if files["--noise"]:
+        argv += ["--noise", files["--noise"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TopologyError: ") and field in err, err
+
+
+def test_cli_routes_with_well_formed_device_files(tmp_path):
+    src = tmp_path / "fig1.qasm"
+    src.write_text(FIG1_QASM)
+    cmap, noise = tmp_path / "map.json", tmp_path / "noise.json"
+    cmap.write_text(json.dumps(_GOOD_MAP))
+    noise.write_text(json.dumps({"edges": [_GOOD_EDGE, dict(_GOOD_EDGE, a=2)],
+                                 "alphas": [0.5, 0, 0.5]}))
+    assert main(["route", "--in", str(src), "--coupling", str(cmap), "--noise", str(noise),
+                 "--out", str(tmp_path / "x.qasm")]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["route", "--in", str(src), "--coupling", str(bad),
+                 "--out", str(tmp_path / "x.qasm")]) == 2
+
+
 def test_cli_debug_reraises_with_the_traceback(tmp_path, capsys):
     missing = str(tmp_path / "missing.qasm")
     commands = [

@@ -3,6 +3,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from optswap import commutation
 from optswap.circuit import Circuit
 from optswap.commutation import (
     _commutator_max,
@@ -18,6 +19,7 @@ from optswap.commutation import (
 from optswap.dag import build_dag
 from optswap.gates import _PARAM_ARITY, Gate, GateKind
 from optswap.memo import CompileMemo
+from optswap.routing import _annotate_for_routing
 from optswap.sim import circuit_unitary
 
 from conftest import phase_distance
@@ -171,6 +173,23 @@ def test_role_keyed_decisions_equal_gates_commute(rng):
                             shared += len(memo.content_commute) == before
     # per content pair: CZ in one role, CX in two, of 8 orientations each
     assert len(memo.content_commute) < shared
+
+
+def test_same_wire_commutator_equals_the_embedded_one(rng):
+    """Every pair of 1q kinds on one wire, at random angles and at +-0.0 and
+    +-pi in every param slot: the magnitude from the two gate matrices
+    equals the one from their embeddings bit for bit."""
+    special = (0.0, -0.0, np.pi, -np.pi)
+    gates = []
+    for kind in _ONE_Q:
+        arity = _PARAM_ARITY.get(kind, 0)
+        slots = [special + (float(rng.uniform(-np.pi, np.pi)),) for _ in range(arity)]
+        gates += [(kind, (0,), params) for params in itertools.product(*slots)]
+    assert len(gates) == 6 + 5 + 125
+    for (k1, q1, p1), (k2, q2, p2) in itertools.product(gates, repeat=2):
+        a, b = _embedded(k1, q1, p1, 1), _embedded(k2, q2, p2, 1)
+        want = float(np.max(np.abs(a @ b - b @ a)))
+        assert _commutator_max(k1, q1, p1, k2, q2, p2, 1) == want, (k1, p1, k2, p2)
 
 
 def test_shared_target_cx_commute():
@@ -377,8 +396,7 @@ def test_predict_ccommute1_blocked_by_inserted_swap():
 def test_predict_ccommute2_sandwich():
     # prior SWAP on the pair, two commuting controlled gates in between
     circ = Circuit(4, (crx(0.5, 1, 2), crx(0.7, 1, 3)))
-    dag = build_dag(circ)
-    commutation_analysis(dag, CompileMemo())
+    dag = _annotate_for_routing(circ, CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     mid_a, mid_b = dag.order
     hist_0 = [prev]
@@ -391,8 +409,7 @@ def test_predict_ccommute2_sandwich():
 
 
 def test_predict_ccommute2_rejects_empty_sandwich():
-    dag = build_dag(Circuit(2, ()))
-    commutation_analysis(dag, CompileMemo())
+    dag = _annotate_for_routing(Circuit(2, ()), CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     value, label, prev_found = predict_ccommute2(dag, [prev], [prev], 0, 1)
     assert value == 0
@@ -400,10 +417,30 @@ def test_predict_ccommute2_rejects_empty_sandwich():
 
 def test_predict_ccommute2_non_commuting_middle():
     circ = Circuit(2, (Gate(GateKind.H, (1,)), cx(0, 1)))
-    dag = build_dag(circ)
-    commutation_analysis(dag, CompileMemo())
+    dag = _annotate_for_routing(circ, CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     h_entry = FakeEntry(dag.gates[0], 0)
     cx_entry = FakeEntry(dag.gates[1], 1)
     value, label, _ = predict_ccommute2(dag, [prev, cx_entry], [prev, h_entry, cx_entry], 0, 1)
     assert value == 0
+
+
+def test_predict_ccommute2_takes_its_decisions_from_the_compile_memo(monkeypatch):
+    """The sandwich predictor decides each gate pair once per compile, and
+    the same as ``gates_commute``."""
+    circ = Circuit(4, (crx(0.5, 1, 2), u3(1), crx(0.7, 1, 3), cx(0, 1)))
+    memo = CompileMemo()
+    dag = _annotate_for_routing(circ, memo)
+    prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
+    hist_0 = [prev, FakeEntry(dag.gates[3], 3)]
+    hist_1 = [prev] + [FakeEntry(dag.gates[nid], nid) for nid in dag.order]
+    decided = []
+    monkeypatch.setattr(commutation, "gates_commute",
+                        lambda g1, g2: decided.append((g1, g2)) or gates_commute(g1, g2))
+    first = predict_ccommute2(dag, hist_0, hist_1, 0, 1)
+    assert decided and memo.commute
+    assert all(memo.commute[(memo.gate_id(g1), memo.gate_id(g2))] == gates_commute(g1, g2)
+               for g1, g2 in decided)
+    count = len(decided)
+    assert predict_ccommute2(dag, hist_0, hist_1, 0, 1) == first
+    assert len(decided) == count

@@ -793,3 +793,37 @@ def test_sabre_compile_computes_no_routing_annotation(monkeypatch):
     assert sum(name == "collect_blocks" for name, _, _ in on_demand) == 2
     assert sum(name == "commutation_analysis" for name, _, _ in on_demand) == 2
     assert all(on_dag for name, on_dag, _ in on_demand if name != "min_cnot_count")
+
+
+def test_compiles_count_no_single_cnot_block_numerically(monkeypatch):
+    """Every ``min_cnot_count`` call follows the ``block_results`` lookup of
+    its block; a spy on both shows that neither router's compile classifies
+    a block whose one two-qubit gate is a CX or CZ, but both still classify
+    a lone CRX, whose CNOT count depends on its angle."""
+    last_block, counted, looked_up = [None], [], []
+
+    def block_results(fn):
+        def recorded(memo, gates, pair):
+            last_block[0] = tuple(g.kind for g in gates if g.num_qubits == 2)
+            looked_up.append(last_block[0])
+            return fn(memo, gates, pair)
+        return recorded
+
+    def min_cnot_count(fn):
+        def recorded(u):
+            counted.append(last_block[0])
+            return fn(u)
+        return recorded
+
+    for owner in (routing, synthesis):
+        monkeypatch.setattr(owner, "block_results", block_results(owner.block_results))
+        monkeypatch.setattr(owner, "min_cnot_count", min_cnot_count(owner.min_cnot_count))
+    circ = random_annotated_circuit(np.random.default_rng(7), 6, 120)
+    single = {(GateKind.CX,), (GateKind.CZ,)}
+    for algorithm in (SABRE, NASSC):
+        counted.clear()
+        looked_up.clear()
+        full_pipeline(circ, grid_map(2, 3), RouterConfig(algorithm=algorithm))
+        assert single <= set(looked_up)
+        assert (GateKind.CRX,) in counted
+        assert not single & set(counted)

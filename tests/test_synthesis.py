@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from optswap import synthesis
 from optswap.circuit import Circuit
 from optswap.dag import build_dag
 from optswap.gates import (
+    _PARAM_ARITY,
     CX_MATRIX,
     SWAP_MATRIX,
     Gate,
@@ -14,10 +16,12 @@ from optswap.gates import (
     u3_gate_from_matrix,
 )
 from optswap.memo import CompileMemo
+from optswap.routing import resynthesize_blocks
 from optswap.sim import circuit_unitary
 from optswap.synthesis import (
     NotUnitary,
     annotate_block_costs,
+    block_results,
     block_unitary,
     collect_blocks,
     kak_synthesize,
@@ -289,6 +293,68 @@ def test_predict_c2q_range(rng):
         assert 0 <= value <= 3
 
 
+_ONE_Q_KINDS = (GateKind.ID, GateKind.X, GateKind.SX, GateKind.RZ, GateKind.H,
+                GateKind.Y, GateKind.Z, GateKind.U3)
+
+
+def random_single_cnot_block(rng, kind, pair):
+    """A `kind` gate on `pair`, either way round, between runs of up to 300
+    random 1q gates on the pair's wires; a third of the angles lie between
+    1e-15 and 1e-8 in magnitude."""
+    def angle():
+        if rng.random() < 1 / 3:
+            return float(rng.choice([-1, 1]) * 10 ** rng.uniform(-15, -8))
+        return float(rng.uniform(-math.pi, math.pi))
+
+    def run():
+        out = []
+        for _ in range(int(rng.integers(0, 301))):
+            one = _ONE_Q_KINDS[int(rng.integers(len(_ONE_Q_KINDS)))]
+            params = tuple(angle() for _ in range(_PARAM_ARITY.get(one, 0)))
+            out.append(Gate(one, (int(rng.choice(pair)),), params))
+        return out
+
+    two = Gate(kind, pair if rng.random() < 0.5 else pair[::-1])
+    return run() + [two] + run()
+
+
+def test_single_cnot_block_costs_in_closed_form_equal_min_cnot_count(rng, monkeypatch):
+    """A block whose one two-qubit gate is a CX, CY or CZ gets (1, 2) from
+    its structure, and ``min_cnot_count`` agrees on its unitary and on the
+    unitary with a SWAP appended.  Other single two-qubit blocks are left to
+    the numerics."""
+    blocks = []
+    for trial in range(150):
+        kind = (GateKind.CX, GateKind.CY, GateKind.CZ)[trial % 3]
+        pair = ((0, 1), (3, 1))[int(rng.integers(2))]
+        gates = random_single_cnot_block(rng, kind, pair)
+        u = pair_unitary(gates, pair)
+        assert (min_cnot_count(u), min_cnot_count(SWAP_MATRIX @ u)) == (1, 2), gates
+        blocks.append((gates, pair))
+
+    def uncalled(u):
+        raise AssertionError("a single-CNOT block reached min_cnot_count")
+
+    monkeypatch.setattr(synthesis, "min_cnot_count", uncalled)
+    memo = CompileMemo()
+    for gates, pair in blocks:
+        res = block_results(memo, gates, pair)
+        assert (res.cx, res.cx_with_swap, res.gates) == (1, 2, None)
+    for gates in ([Gate(GateKind.CRX, (0, 1), (1e-6,))], [cx(0, 1), cx(1, 0)],
+                  [Gate(GateKind.SWAP, (0, 1))], [Gate(GateKind.U3, (0,), (1.0, 2.0, 3.0))]):
+        res = block_results(memo, gates, (0, 1))
+        assert (res.cx, res.cx_with_swap) == (None, None)
+
+
+def test_single_cy_and_cz_blocks_resynthesize_to_one_cnot(rng):
+    for kind in (GateKind.CY, GateKind.CZ):
+        gates = random_single_cnot_block(rng, kind, (0, 1))
+        circ = Circuit(2, tuple(gates))
+        out = resynthesize_blocks(build_dag(circ), CompileMemo()).circuit
+        assert out.count(GateKind.CX) == 1 and out.count(kind) == 0
+        assert phase_distance(circuit_unitary(out), circuit_unitary(circ)) < 1e-8
+
+
 # -- 1q merging ----------------------------------------------------------------
 
 
@@ -338,7 +404,7 @@ def test_merge_1q_respects_wire_boundaries(rng):
 @pytest.mark.xfail(
     strict=True,
     reason="is_identity_up_to_phase keeps allclose's rtol of 1e-5 on the "
-    "diagonal, so a run 2e-6 rad from the identity is dropped (ROADMAP item 3)",
+    "diagonal, so a run 2e-6 rad from the identity is dropped (ROADMAP item 1)",
 )
 def test_merge_1q_keeps_a_run_just_off_the_identity():
     # two u3 gates whose product is diag(1, e^{i 2e-6}), as on wire 9 of
@@ -349,6 +415,23 @@ def test_merge_1q_keeps_a_run_just_off_the_identity():
     circ = Circuit(1, (first, second))
     merged = merge_1q_runs(build_dag(circ), CompileMemo()).circuit
     assert phase_distance(circuit_unitary(circ), target) < 1e-12
+    assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="u3_params reads phi and lam off m[1, 0] and -m[0, 1] when theta is "
+    "about 4e-11 and those entries are rounding noise (ROADMAP item 1)",
+)
+def test_merge_1q_fuses_a_run_near_the_identity_into_its_product():
+    # two u3 gates on one wire of rang10_5 in small_noisy instance 610
+    # (perfbench/run.py --workload small_noisy --seed 305); the fused u3 has
+    # theta about 4.4e-11 and sits 8.7e-7 from their product
+    first = Gate(GateKind.U3, (0,), (1.5707963267949288, 3.14159265354545, 1.5715235865665012))
+    second = Gate(GateKind.U3, (0,), (1.5707963267948966, -1.1268885334134553, 0.0))
+    circ = Circuit(1, (first, second))
+    merged = merge_1q_runs(build_dag(circ), CompileMemo()).circuit
+    assert len(merged.gates) == 1
     assert phase_distance(circuit_unitary(merged), circuit_unitary(circ)) < 1e-9
 
 
