@@ -16,12 +16,7 @@ a block's key is its content, per gate (kind, positions of its qubits in the
 block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
 CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
 on the local pair (0, 1) are stored, each on first need; no block unitary
-is kept.  A block whose one two-qubit gate is a CX, CY or CZ needs no
-numerics for its counts: with any 1q gates around it, it is locally
-equivalent to one CNOT (count 1), and with a SWAP appended to a DCNOT
-(count 2), the class split of Shende, Markov and Bullock (2004).  Such a
-block's gamma sits orders of magnitude inside both ``min_cnot_count``
-thresholds, so the closed form and the numerics agree.  Synthesis seeds its own rng and reaches the pair only through the
+is kept.  Synthesis seeds its own rng and reaches the pair only through the
 qubit labels of the gates it emits, so remapping the stored gates onto the
 real pair gives what synthesizing on that pair gives.  Likewise a 1q run's
 merge is stored under its gates' exact contents (``memo.exact_content``),
@@ -29,6 +24,14 @@ without its wire.  Block unitaries and run products take each gate's
 matrix from the memo (``CompileMemo.matrix``), built once per content.
 ``merge_1q_runs`` takes a DAG and returns one, like every optimization pass;
 it returns its argument when no run changes.
+
+A block whose one two-qubit gate is a CX, CY or CZ needs no numerics for
+its counts: with any 1q gates around it, it is locally equivalent to one
+CNOT (count 1), and with a SWAP appended to a DCNOT (count 2), the class
+split of Shende, Markov and Bullock (2004).  Its gamma clears every
+``min_cnot_count`` cut by orders of magnitude (trace and gamma^2 + 1 within
+about 2e-14 of 0 against cuts of 4e-9 and 1e-8, and at least 1 from
++-identity), so the closed form and the numerics agree.
 """
 
 from __future__ import annotations
