@@ -30,8 +30,8 @@ its counts: with any 1q gates around it, it is locally equivalent to one
 CNOT (count 1), and with a SWAP appended to a DCNOT (count 2), the class
 split of Shende, Markov and Bullock (2004).  Its gamma clears every
 ``min_cnot_count`` cut by orders of magnitude (trace and gamma^2 + 1 within
-about 2e-14 of 0 against cuts of 4e-9 and 1e-8, and at least 1 from
-+-identity), so the closed form and the numerics agree.
+1e-13 of 0 against cuts of 4e-9 and 1e-8, and at least 1 from +-identity),
+so the closed form and the numerics agree.
 """
 
 from __future__ import annotations
