@@ -17,6 +17,11 @@ With ``--against REV`` the script does both runs itself: it checks REV out
 into a temporary ``git worktree``, runs the guard there and in this checkout
 (uncommitted changes included), prints the two lines of every instance that
 differs, and exits 1 if any does.  The worktree is removed afterwards.
+
+    python3 scripts/digest_guard.py --against-tree DIR
+
+does the same with the checkout already in DIR (say, one made with
+``git clone`` or ``git archive``), where no worktree can or need be made.
 """
 
 from __future__ import annotations
@@ -76,21 +81,30 @@ def guard_lines_at(rev: str) -> list[dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--against", metavar="REV",
-                    help="compare with the guard lines of this git revision")
+    other = ap.add_mutually_exclusive_group()
+    other.add_argument("--against", metavar="REV",
+                       help="compare with the guard lines of this git revision")
+    other.add_argument("--against-tree", metavar="DIR",
+                       help="compare with the guard lines of the checkout in DIR")
     args = ap.parse_args(argv)
-    if args.against is None:
+    if args.against is None and args.against_tree is None:
         for line in guard_lines(ROOT):
             print(json.dumps(line), flush=True)
         return 0
-    theirs = guard_lines_at(args.against)
+    if args.against is not None:
+        label, theirs = args.against, guard_lines_at(args.against)
+    else:
+        tree = Path(args.against_tree).resolve()
+        if not (tree / "perfbench" / "worker.py").is_file():
+            ap.error(f"{tree} holds no perfbench/worker.py")
+        label, theirs = args.against_tree, list(guard_lines(tree))
     ours = list(guard_lines(ROOT))
     differ = [(a, b) for a, b in zip(theirs, ours) if a != b]
     for a, b in differ:
         print(json.dumps({"workload": a["workload"], "instance": a["instance"],
-                          args.against: a, "here": b}))
+                          label: a, "here": b}))
     print(f"{len(ours) - len(differ)} of {len(ours)} instances equal at "
-          f"{args.against} and here", file=sys.stderr)
+          f"{label} and here", file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -9,11 +9,11 @@ DAG and return one: a pass that changes gates picks the ones to keep from
 ``gates`` and builds the next DAG with ``with_gates``.
 
 The analysis passes annotate a DAG: ``collect_blocks`` assigns
-``block_id``, ``annotate_block_costs`` writes into ``block_cx`` and
-``block_cx_with_swap``, and ``commutation_analysis`` assigns
-``commute_set``.  Until then ``block_id`` and ``commute_set`` read as empty
-dicts; a subclass may compute them on first read instead (the router's DAGs
-do).
+``block_id`` and ``blocks``, ``annotate_block_costs`` writes into
+``block_cx`` and ``block_cx_with_swap``, and ``commutation_analysis``
+assigns ``commute_set``.  Until then ``block_id`` and ``commute_set`` read
+as empty dicts; a subclass may compute them on first read instead (the
+router's DAGs do).
 """
 
 from __future__ import annotations

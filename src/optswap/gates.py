@@ -196,38 +196,47 @@ def gate_matrix(gate: Gate) -> np.ndarray:
     raise GateError(f"{k.value} has no matrix")
 
 
-def u3_params(m: np.ndarray, tol: float = 1e-12) -> tuple[float, float, float, float]:
-    """Extract (theta, phi, lam, phase) with m = exp(i*phase) * U3(theta, phi, lam)."""
-    theta = 2.0 * math.atan2(abs(m[1, 0]), abs(m[0, 0]))
-    if abs(m[0, 0]) < tol:
-        # theta == pi column: m = e^{i phase} [[0, -e^{i lam}], [e^{i phi}, 0]]
-        phase = float(np.angle(m[1, 0]))
-        lam = float(np.angle(-m[0, 1])) - phase
-        return math.pi, 0.0, _wrap(lam), phase
-    phase = float(np.angle(m[0, 0]))
-    if abs(m[1, 0]) < tol:
-        phi = float(np.angle(m[1, 1])) - phase
-        return 0.0, _wrap(phi), 0.0, phase
-    phi = float(np.angle(m[1, 0])) - phase
-    lam = float(np.angle(-m[0, 1])) - phase
-    return theta, _wrap(phi), _wrap(lam), phase
+def u3_params(m: np.ndarray, tol: float = 1e-12):
+    """Extract (theta, phi, lam, phase) with m = exp(i*phase) * U3(theta, phi, lam).
+
+    A (N, 2, 2) stack gives a list of N such tuples, each what its matrix
+    alone gives: the angles are one ``np.angle`` per entry position, which
+    rounds as on a scalar, while each ``abs`` and ``atan2`` stays a scalar
+    operation (``abs`` of a numpy complex scalar and ``math.atan2`` round
+    differently from ``np.abs`` and ``np.arctan2`` of an array)."""
+    ms = m if m.ndim == 3 else m[None]
+    angles = np.angle(ms).tolist()
+    minus01 = np.angle(-ms[:, 0, 1]).tolist()
+    out = []
+    for mi, (row0, row1), neg01 in zip(ms, angles, minus01):
+        abs00, abs10 = abs(mi[0, 0]), abs(mi[1, 0])
+        theta = 2.0 * math.atan2(abs10, abs00)
+        if abs00 < tol:
+            # theta == pi column: m = e^{i phase} [[0, -e^{i lam}], [e^{i phi}, 0]]
+            phase = row1[0]
+            out.append((math.pi, 0.0, _wrap(neg01 - phase), phase))
+            continue
+        phase = row0[0]
+        if abs10 < tol:
+            out.append((0.0, _wrap(row1[1] - phase), 0.0, phase))
+            continue
+        out.append((theta, _wrap(row1[0] - phase), _wrap(neg01 - phase), phase))
+    return out[0] if m.ndim == 2 else out
 
 
 def _wrap(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def u3_gate_from_matrix(m: np.ndarray, qubit: int) -> Gate:
-    theta, phi, lam, _ = u3_params(m)
-    return Gate(GateKind.U3, (qubit,), (theta, phi, lam))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices: the same elementwise products (so the
     same bits, signed zeros included) without its generic shape handling,
-    which costs several times the product itself on 2x2 factors."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    which costs several times the product itself on 2x2 factors.  Either
+    factor may be a (N, r, c) stack; the result is then the stack of
+    products."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(
+        *shape, a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
     )
 
 

@@ -7,7 +7,11 @@ gate pair or 1q run with the same content in any later round:
 
 - ``blocks``: per two-qubit block content, its CNOT counts and re-synthesized
   gates (``synthesis`` says what the key holds); a block with one CX, CY or
-  CZ gets its counts when its entry is made (``synthesis.block_results``);
+  CZ gets its counts when its entry is made (``synthesis.block_results``).
+  A resynthesis pass fills the entries it needs all at once, after it has
+  looked up every block of its DAG: first the counts, then the gates, each
+  in one stacked call (``routing.resynthesize_blocks``); the router fills
+  one block's counts at a time, as it reads them;
 - ``gate_ids``: a small int per distinct ``Gate`` (ids follow ``Gate``
   equality), so that the decisions below are looked up by ints instead of
   by re-hashing and comparing gates;
@@ -28,7 +32,11 @@ gate pair or 1q run with the same content in any later round:
   (``synthesis.merge_1q_runs``);
 - ``matrices``: per exact content (``exact_content``), the gate's matrix,
   built once and read-only (``matrix``), for the block unitaries and 1q-run
-  products of ``synthesis``.
+  products of ``synthesis``;
+- ``fixpoint``: the DAG the last ``routing.optimize_circuit`` call returned
+  its circuit from, when its last round changed nothing and so analysed that
+  very DAG's blocks and commute sets; the router's DAG of the same gates
+  adopts them.  None when the round cap stopped the loop.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dag import CircuitDag
 from .gates import Gate, gate_matrix
 
 
@@ -72,6 +81,7 @@ class CompileMemo:
     content_ids: list[int] = field(default_factory=list)
     content_commute: dict[tuple, bool] = field(default_factory=dict)
     matrices: dict[tuple, np.ndarray] = field(default_factory=dict)
+    fixpoint: CircuitDag | None = None
 
     def matrix(self, gate: Gate) -> np.ndarray:
         """``gate_matrix(gate)``, built once per exact content; read-only,

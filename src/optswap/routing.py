@@ -27,7 +27,10 @@ The annotations the predictors read are computed on demand
 ``predict_c2q`` or ``predict_ccommute1`` read, and a block's CNOT counts
 when that block is first read.  So the baseline, which predicts nothing,
 computes none of them, and the optimization-aware router computes the
-costs of only the blocks its candidates reach.
+costs of only the blocks its candidates reach.  The forward DAG's blocks
+and commute sets come from pre-optimization instead, whose last round
+analysed the same gates (``CompileMemo.fixpoint``); only when that loop
+stopped at its round cap are they computed on demand.
 """
 
 from __future__ import annotations
@@ -581,33 +584,57 @@ def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     that are already minimal are left untouched so that a chosen SWAP
     decomposition orientation survives to the cancellation pass.  With no
     block rewritten, `dag` itself is returned.
+
+    The numerics run once per pass, on stacks: one ``min_cnot_count`` over
+    the pass's memo entries that lack a count, then one ``kak_synthesize``
+    over those to rewrite that lack gates.  An entry's unitary is that of
+    its first such block, which a pass taking one block at a time would
+    compute it from (the key holds all ``pair_unitary`` reads, so res.cx is
+    that unitary's count).
     """
     blocks = collect_blocks(dag)
+    members = [[dag.gates[nid] for nid in blk.node_ids] for blk in blocks]
+    results = [block_results(memo, gates, blk.qubit_pair)
+               for blk, gates in zip(blocks, members)]
+    unitaries: dict[int, np.ndarray] = {}
+
+    def first_blocks(indices, missing) -> list[int]:
+        """The first block of each entry that misses a result, each with
+        its unitary in `unitaries`."""
+        first: dict[int, int] = {}
+        for i in indices:
+            if missing(results[i]):
+                first.setdefault(id(results[i]), i)
+        for i in first.values():
+            if i not in unitaries:
+                unitaries[i] = block_unitary(blocks[i], dag, memo)
+        return list(first.values())
+
+    uncounted = first_blocks(range(len(blocks)), lambda res: res.cx is None)
+    if uncounted:
+        counts = min_cnot_count(np.stack([unitaries[i] for i in uncounted]))
+        for i, count in zip(uncounted, counts.tolist()):
+            results[i].cx = count
+    rewrite = []
+    for i, gates in enumerate(members):
+        has_foreign = any(g.num_qubits == 2 and g.kind is not GateKind.CX for g in gates)
+        if has_foreign or results[i].cx < sum(1 for g in gates if g.kind is GateKind.CX):
+            rewrite.append(i)
+    unsynthesized = first_blocks(rewrite, lambda res: res.gates is None)
+    if unsynthesized:
+        circuits = kak_synthesize(np.stack([unitaries[i] for i in unsynthesized]), (0, 1), 2,
+                                  [results[i].cx for i in unsynthesized])
+        for i, circ in zip(unsynthesized, circuits):
+            results[i].gates = circ.gates
     rewritten: dict[int, list[Gate]] = {}
     drop: set[int] = set()
-    for blk in blocks:
-        gates = [dag.gates[nid] for nid in blk.node_ids]
-        has_foreign = any(
-            g.num_qubits == 2 and g.kind is not GateKind.CX for g in gates
-        )
-        cx_count = sum(1 for g in gates if g.kind is GateKind.CX)
-        res = block_results(memo, gates, blk.qubit_pair)
-        u = None
-        if res.cx is None:
-            u = block_unitary(blk, dag, memo)
-            res.cx = min_cnot_count(u)
-        if not has_foreign and res.cx >= cx_count:
-            continue
-        if res.gates is None:
-            # the key holds all pair_unitary reads, so res.cx is u's count
-            if u is None:
-                u = block_unitary(blk, dag, memo)
-            res.gates = kak_synthesize(u, (0, 1), 2, res.cx).gates
+    for i in rewrite:
+        blk = blocks[i]
         # Anchor the replacement at the first two-qubit member: leading 1q
         # members were collected before it but nothing else touches their
         # wire in between, so sliding them down to the anchor is sound.
         anchor = next(nid for nid in blk.node_ids if dag.gates[nid].num_qubits == 2)
-        rewritten[anchor] = [g.remapped(blk.qubit_pair) for g in res.gates]
+        rewritten[anchor] = [g.remapped(blk.qubit_pair) for g in results[i].gates]
         drop.update(nid for nid in blk.node_ids if nid != anchor)
     if not rewritten:
         return dag
@@ -622,14 +649,21 @@ def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
 
 def optimize_circuit(circuit: Circuit, memo: CompileMemo) -> Circuit:
     """Re-synthesis + commutative cancellation + 1q merging, threaded
-    through one DAG, to a fixed point (at most 10 rounds)."""
+    through one DAG, to a fixed point (at most 10 rounds).
+
+    A round that changes nothing has analysed the blocks and commute sets
+    of the DAG it returns; that DAG is left in ``memo.fixpoint`` (None when
+    the cap stops the loop first)."""
     dag = build_dag(circuit)
+    memo.fixpoint = None
     for _ in range(10):
-        before = dag.gates
+        start = dag
         dag = resynthesize_blocks(dag, memo)
         dag = commutative_cancellation(dag, memo)
         dag = merge_1q_runs(dag, memo)
-        if dag.gates == before:
+        if dag.gates == start.gates:
+            if dag is start:
+                memo.fixpoint = dag
             break
     return dag.circuit
 
@@ -649,13 +683,29 @@ class _OnMiss(dict):
 class _RoutingDag(CircuitDag):
     """A DAG whose routing annotations are computed on first read: the
     blocks and commute sets of the whole DAG, and each block's CNOT counts
-    on their own."""
+    on their own.  ``adopt`` takes blocks and commute sets already analysed
+    instead."""
 
     memo: CompileMemo
 
     @cached_property
     def block_id(self) -> dict[int, int]:
-        blocks = collect_blocks(self)  # assigns self.block_id
+        self._cost_on_demand(collect_blocks(self))  # assigns self.block_id
+        return self.block_id
+
+    @cached_property
+    def commute_set(self) -> dict[tuple[int, int], int]:
+        commutation_analysis(self, self.memo)  # assigns self.commute_set
+        return self.commute_set
+
+    def adopt(self, analysed: CircuitDag) -> None:
+        """Take the blocks and commute sets of `analysed`, a DAG of the same
+        gates on which ``collect_blocks`` and ``commutation_analysis`` ran."""
+        self.block_id = analysed.block_id
+        self.commute_set = analysed.commute_set
+        self._cost_on_demand(analysed.blocks)
+
+    def _cost_on_demand(self, blocks: list) -> None:
         # a strong reference would put the DAG, and with it the compile's
         # memo, in a cycle that outlives the compile until a full collection
         ref = weakref.ref(self)
@@ -666,18 +716,17 @@ class _RoutingDag(CircuitDag):
 
         self.block_cx = _OnMiss(costs)
         self.block_cx_with_swap = _OnMiss(costs)
-        return self.block_id
-
-    @cached_property
-    def commute_set(self) -> dict[tuple[int, int], int]:
-        commutation_analysis(self, self.memo)  # assigns self.commute_set
-        return self.commute_set
 
 
-def _annotate_for_routing(circuit: Circuit, memo: CompileMemo) -> CircuitDag:
-    """The router's DAG of `circuit`, annotated on demand from `memo`."""
+def _annotate_for_routing(circuit: Circuit, memo: CompileMemo,
+                          analysed: CircuitDag | None = None) -> CircuitDag:
+    """The router's DAG of `circuit`, annotated on demand from `memo`, or
+    with the blocks and commute sets of `analysed`, a DAG of the same gates
+    that holds them."""
     dag = build_dag(circuit, _RoutingDag)
     dag.memo = memo
+    if analysed is not None:
+        dag.adopt(analysed)
     return dag
 
 
@@ -702,7 +751,8 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
     base = metrics(logical)
     padded = Circuit(n, logical.gates, circuit.num_clbits)
 
-    fwd_dag = _annotate_for_routing(padded, memo)
+    # pre-optimization's last round analysed these very gates
+    fwd_dag = _annotate_for_routing(padded, memo, memo.fixpoint)
     rev_dag = _annotate_for_routing(padded.with_gates(tuple(reversed(padded.gates))), memo)
     dist = distance_matrix_for(cmap, cfg)
 

@@ -11,6 +11,30 @@ Degenerate spectra can break the simultaneous diagonalization used to extract
 the single-qubit prefactors, so synthesis retries with random local dressings
 (folded back into the emitted gates) before giving up.
 
+Classification and synthesis take (N, 4, 4) stacks, as ``np.linalg.det``
+does; one matrix is the case N = 1.  A resynthesis pass classifies all its
+new block contents in one ``min_cnot_count`` call and synthesizes them in
+one ``kak_synthesize`` call, which runs each template branch (count 0, 1,
+2 with a real or a complex spectrum, 3 as a SWAP times local gates or not)
+once over its blocks, emits them, and checks the rebuilt unitaries.  Only
+the blocks that fail that check retry their dressed attempts, alone.
+Numpy's per-call overhead on a 4x4 matrix exceeds its arithmetic, so a
+stack of 35 blocks costs a few times one block, not 35.
+
+Each stacked result equals, bit for bit, what the matrix alone gives
+(``tests/kak_reference.py`` holds the per-matrix code; the tests compare
+counts and emitted params exactly).  That holds because every per-matrix
+operation is replaced by its stacked counterpart one for one: matmul,
+``det``, ``eigvals``, ``eigh``, ``angle``, ``exp``, complex ``sqrt`` and
+complex division round the same per matrix either way (numpy 2.4 on an
+AVX-512 host: all of 1,164 workload matrices, or 100k values).  Nothing is
+fused or reordered, and a matmul with a diagonal matrix stays a matmul.
+Scalar operations do not all have such a counterpart: ``abs()`` of a numpy
+complex scalar differs from ``np.abs`` of an array in 35% of values (it
+equals ``np.hypot`` of the parts), ``math.atan2`` from ``np.arctan2`` in
+about 5%, and a numpy complex scalar's ``*`` from an array's.  Those stay
+scalar operations, taken block by block.
+
 Within one compile the block results are memoized (``memo.CompileMemo``):
 a block's key is its content, per gate (kind, positions of its qubits in the
 block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
@@ -44,6 +68,7 @@ import numpy as np
 from .circuit import Circuit
 from .dag import CircuitDag
 from .gates import (
+    CX_MATRIX,
     Gate,
     GateKind,
     SWAP_MATRIX,
@@ -52,9 +77,6 @@ from .gates import (
     gate_matrix,
     is_identity_up_to_phase,
     kron,
-    rx_matrix,
-    rz_matrix,
-    u3_gate_from_matrix,
     u3_params,
 )
 from .memo import BlockResults, CompileMemo, exact_content
@@ -116,32 +138,29 @@ _I2C = np.eye(2, dtype=complex)
 _W0, _W1 = 0, 1  # internal wire names; _W0 maps to the pair's second qubit
 
 
-def _ry(t):
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 _S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
 def _check_unitary(u: np.ndarray, tol: float = 1e-9):
+    """u as a complex array: one 4x4 unitary or a (N, 4, 4) stack of them."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4) or not allclose(u @ u.conj().T, _I4, tol):
-        raise NotUnitary("expected a 4x4 unitary matrix")
+    if (u.ndim not in (2, 3) or u.shape[-2:] != (4, 4)
+            or not allclose(u @ u.conj().mT, _I4, tol)):
+        raise NotUnitary("expected a 4x4 unitary matrix or a stack of them")
     return u
 
 
 def to_su4(u: np.ndarray) -> np.ndarray:
     det = np.linalg.det(u)
-    return u * np.exp(-1j * np.angle(det) / 4)
+    return u * np.exp(-1j * np.angle(det) / 4)[..., None, None]
 
 
 def _gamma(u_su4: np.ndarray) -> np.ndarray:
     m = _EDAG @ u_su4 @ _E
-    return m @ m.T
+    return m @ m.mT
 
 
-def min_cnot_count(u: np.ndarray) -> int:
+def min_cnot_count(u: np.ndarray):
     """Minimal CNOTs to synthesize u with arbitrary single-qubit gates.
 
     Classified through gamma(u): the local class has gamma = +-identity, the
@@ -149,54 +168,93 @@ def min_cnot_count(u: np.ndarray) -> int:
     trace marks the two-CNOT class.  All tests are linearly sensitive to the
     distance from the class, so a nearly-but-not-exactly local gate (e.g. a
     controlled phase of 1e-5 rad) is still classified by its true cost.
+
+    A (N, 4, 4) stack gives an int array of N counts.
     """
     u = _check_unitary(u)
-    gamma = _gamma(to_su4(u))
-    tr = complex(np.trace(gamma))
-    eye = np.eye(4)
-    sign = 1.0 if tr.real >= 0 else -1.0
-    if np.max(np.abs(gamma - sign * eye)) < 1e-9:
-        return 0
-    if abs(tr) < 4e-9 and np.max(np.abs(gamma @ gamma + eye)) < 1e-8:
-        return 1
-    if abs(tr.imag) < 4e-9:
-        return 2
-    return 3
+    counts = _counts(u if u.ndim == 3 else u[None])
+    return int(counts[0]) if u.ndim == 2 else counts
+
+
+def _counts(us: np.ndarray) -> np.ndarray:
+    gamma = _gamma(to_su4(us))
+    tr = np.trace(gamma, axis1=-2, axis2=-1)
+    sign = np.where(tr.real >= 0, 1.0, -1.0)[:, None, None]
+    local = np.abs(gamma - sign * _I4).max(axis=(-2, -1)) < 1e-9
+    # abs() of the trace as a Python complex rounds unlike np.abs of an array
+    small = np.array([abs(t) < 4e-9 for t in tr.tolist()], dtype=bool)
+    one = small & (np.abs(gamma @ gamma + _I4).max(axis=(-2, -1)) < 1e-8)
+    counts = np.full(len(us), 3)
+    counts[np.abs(tr.imag) < 4e-9] = 2
+    counts[one] = 1
+    counts[local] = 0
+    return counts
 
 
 # -- single-qubit tensor extraction and prefactors ---------------------------
+#
+# Every function from here to ``kak_synthesize`` takes (N, ...) stacks; a
+# 2x2 or 4x4 constant stands for the same matrix in every block.
+
+
+def _ry(t) -> np.ndarray:
+    c = np.array([math.cos(x / 2) for x in t])
+    s = np.array([math.sin(x / 2) for x in t])
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2).astype(complex)
+
+
+def _rz(t) -> np.ndarray:
+    m = np.zeros((len(t), 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 1, 1] = np.exp(-0.5j * t), np.exp(0.5j * t)
+    return m
+
+
+def _rx(t) -> np.ndarray:
+    c = np.array([math.cos(x / 2) for x in t])
+    s = np.array([math.sin(x / 2) for x in t])
+    m = np.empty((len(t), 2, 2), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = c
+    m[:, 0, 1] = m[:, 1, 0] = -1j * s
+    return m
 
 
 def _su2su2_factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split u = A (x) B with A, B in SU(2) (u must be such a product)."""
-    c1, c2 = u[0:2, 0:2], u[0:2, 2:4]
-    c3, c4 = u[2:4, 0:2], u[2:4, 2:4]
-    a1 = np.sqrt(complex((c1 @ c4.conj().T)[0, 0]))
-    a2 = np.sqrt(complex(-(c2 @ c3.conj().T)[0, 0]))
-    if not allclose(a1 * np.conj(a2), (c1 @ c2.conj().T)[0, 0], 1e-8):
-        a2 = -a2
-    a = np.array([[a1, a2], [-np.conj(a2), np.conj(a1)]], dtype=complex)
-    if abs(a[0, 0]) > 1e-6:
-        b = c1 / a[0, 0]
-    else:
-        b = c2 / a[0, 1]
+    """Split each u = A (x) B with A, B in SU(2) (u must be such a product)."""
+    c1, c2 = u[:, 0:2, 0:2], u[:, 0:2, 2:4]
+    c3, c4 = u[:, 2:4, 0:2], u[:, 2:4, 2:4]
+    a1 = np.sqrt((c1 @ c4.conj().mT)[:, 0, 0])
+    a2 = np.sqrt(-(c2 @ c3.conj().mT)[:, 0, 0])
+    near = (c1 @ c2.conj().mT)[:, 0, 0]
+    # per block: numpy complex scalars multiply and take abs() with other
+    # rounding than arrays do
+    flip = [not abs(x * np.conj(y) - z) <= 1e-8 + 1e-5 * abs(z)  # allclose's test
+            for x, y, z in zip(a1, a2, near)]
+    a2 = np.where(flip, -a2, a2)
+    a = np.stack([np.stack([a1, a2], -1), np.stack([-np.conj(a2), np.conj(a1)], -1)], -2)
+    first = np.array([abs(x) > 1e-6 for x in a1], dtype=bool)
+    b = np.empty_like(c1)
+    b[first] = c1[first] / a1[first, None, None]
+    b[~first] = c2[~first] / a2[~first, None, None]
     return a, b
 
 
 def _so4_diagonalizer(sym: np.ndarray) -> np.ndarray:
     """Real orthogonal eigenbasis of a complex symmetric matrix, det fixed to +1."""
     _, p = np.linalg.eigh(np.real(sym) + np.imag(sym))
-    return p @ np.diag([1, 1, 1, float(np.sign(np.linalg.det(p)))])
+    fix = np.zeros(p.shape)
+    fix[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    fix[:, 3, 3] = np.sign(np.linalg.det(p))
+    return p @ fix
 
 
 def _prefactors(u: np.ndarray, v: np.ndarray):
     """Find A, B, C, D in SU(2) with u = (A x B) v (C x D), both in SU(4)."""
     mu = _EDAG @ u @ _E
-    mv = _EDAG @ v @ _E
-    p = _so4_diagonalizer(mu @ mu.T)
-    q = _so4_diagonalizer(mv @ mv.T)
-    g = p @ q.T
-    h = mv.conj().T @ g.T @ mu
+    mv = _EDAG @ (v if v.ndim == 3 else v[None]) @ _E
+    p = _so4_diagonalizer(mu @ mu.mT)
+    q = _so4_diagonalizer(mv @ mv.mT)
+    g = p @ q.mT
+    h = mv.conj().mT @ g.mT @ mu
     ab = _E @ g @ _EDAG
     cd = _E @ h @ _EDAG
     a, b = _su2su2_factors(ab)
@@ -205,30 +263,33 @@ def _prefactors(u: np.ndarray, v: np.ndarray):
 
 
 # -- synthesis templates ------------------------------------------------------
+#
+# A template takes the stack of targets of one CNOT count and returns its
+# branches: (indices into the stack, ops), with one op list per branch.
 
 
 def _ops_0(u):
     a, b = _su2su2_factors(to_su4(u))
-    return [("1q", _W0, a), ("1q", _W1, b)]
+    return [(np.arange(len(u)), [("1q", _W0, a), ("1q", _W1, b)])]
 
 
 def _ops_1(u):
     swap_u = np.exp(1j * math.pi / 4) * (_SWAP4 @ to_su4(u))
     mu = _EDAG @ swap_u @ _E
-    p = _so4_diagonalizer(mu @ mu.T)
+    p = _so4_diagonalizer(mu @ mu.mT)
     g = p @ _Q_ONE_CNOT.T
-    h = _V_ONE_CNOT.conj().T @ g.T @ mu
+    h = _V_ONE_CNOT.conj().T @ g.mT @ mu
     ab = _E @ g @ _EDAG
     cd = _E @ h @ _EDAG
     a, b = _su2su2_factors(ab)
     c, d = _su2su2_factors(cd)
-    return [
+    return [(np.arange(len(u)), [
         ("1q", _W0, c),
         ("1q", _W1, d),
         ("cx", _W0, _W1),
         ("1q", _W1, a),
         ("1q", _W0, b),
-    ]
+    ])]
 
 
 def _ops_2(u):
@@ -236,64 +297,63 @@ def _ops_2(u):
     evs = np.linalg.eigvals(_gamma(u_su4))
     # a real spectrum is exactly {-1, -1, 1, 1} here (det 1, not local); near
     # it, the angles below still resolve, but this template would not match
-    if np.max(np.abs(np.imag(evs))) < 1e-9:
+    real = np.abs(evs.imag).max(axis=-1) < 1e-9
+    branches = []
+    idx = np.flatnonzero(real)
+    if idx.size:
         interior = [
             ("cx", _W1, _W0),
             ("1q", _W0, _S_MAT),
             ("1q", _W1, _FIXED_1Q[GateKind.SX]),
             ("cx", _W1, _W0),
         ]
-        inner = _S_SX
-    else:
-        x, y = np.angle(evs[0]), np.angle(evs[1])
-        if allclose(x, -y, 1e-10):
-            y = np.angle(evs[2])
+        branches.append((idx, interior, _CNOT10 @ _S_SX @ _CNOT10))
+    idx = np.flatnonzero(~real)
+    if idx.size:
+        x, y = np.angle(evs[idx, 0]), np.angle(evs[idx, 1])
+        y = np.where([allclose(a, -b, 1e-10) for a, b in zip(x, y)], np.angle(evs[idx, 2]), y)
         delta, phi = (x + y) / 2, (x - y) / 2
-        interior = [
-            ("cx", _W1, _W0),
-            ("1q", _W0, rz_matrix(delta)),
-            ("1q", _W1, rx_matrix(phi)),
-            ("cx", _W1, _W0),
-        ]
-        inner = kron(rz_matrix(delta), rx_matrix(phi))
-    v = _CNOT10 @ inner @ _CNOT10
-    a, b, c, d = _prefactors(u_su4, v)
-    return (
-        [("1q", _W0, c), ("1q", _W1, d)]
-        + interior
-        + [("1q", _W0, a), ("1q", _W1, b)]
-    )
+        rz, rx = _rz(delta), _rx(phi)
+        interior = [("cx", _W1, _W0), ("1q", _W0, rz), ("1q", _W1, rx), ("cx", _W1, _W0)]
+        branches.append((idx, interior, _CNOT10 @ kron(rz, rx) @ _CNOT10))
+    out = []
+    for idx, interior, v in branches:
+        a, b, c, d = _prefactors(u_su4[idx], v)
+        out.append((idx, [("1q", _W0, c), ("1q", _W1, d)]
+                    + interior + [("1q", _W0, a), ("1q", _W1, b)]))
+    return out
 
 
 def _ops_3(u):
-    swap_u = np.exp(1j * math.pi / 4) * (_SWAP4 @ to_su4(u))
+    """Three CNOTs, or the SWAP ladder where u is a SWAP times local gates."""
+    out = []
+    local = min_cnot_count(u @ _SWAP4) == 0
+    idx = np.flatnonzero(local)
+    if idx.size:
+        out.append((idx, _ops_swap_times_local(u[idx])))
+    idx = np.flatnonzero(~local)
+    if not idx.size:
+        return out
+    swap_u = np.exp(1j * math.pi / 4) * (_SWAP4 @ to_su4(u[idx]))
     evs = np.linalg.eigvals(_gamma(swap_u))
-    x, y, z = sorted(np.angle(ev) for ev in evs)[:3]
+    x, y, z = np.sort(np.angle(evs), axis=-1, kind="stable")[:, :3].T
     alpha, beta, delta = (x + y) / 2, (x + z) / 2, (z + y) / 2
+    rz, ry_beta, ry_alpha = _rz(delta), _ry(beta), _ry(alpha)
     interior = [
         ("cx", _W1, _W0),
-        ("1q", _W0, rz_matrix(delta)),
-        ("1q", _W1, _ry(beta)),
+        ("1q", _W0, rz),
+        ("1q", _W1, ry_beta),
         ("cx", _W0, _W1),
-        ("1q", _W1, _ry(alpha)),
+        ("1q", _W1, ry_alpha),
         ("cx", _W1, _W0),
     ]
     v = np.eye(4, dtype=complex)
-    for mat in (
-        _CNOT10,
-        kron(rz_matrix(delta), _ry(beta)),
-        _CNOT01,
-        kron(_I2, _ry(alpha)),
-        _CNOT10,
-        _SWAP4,
-    ):
+    for mat in (_CNOT10, kron(rz, ry_beta), _CNOT01, kron(_I2, ry_alpha), _CNOT10, _SWAP4):
         v = mat @ v
     a, b, c, d = _prefactors(swap_u, v)
-    return (
-        [("1q", _W0, c), ("1q", _W1, d)]
-        + interior
-        + [("1q", _W1, a), ("1q", _W0, b)]
-    )
+    out.append((idx, [("1q", _W0, c), ("1q", _W1, d)]
+                + interior + [("1q", _W1, a), ("1q", _W0, b)]))
+    return out
 
 
 def _ops_swap_times_local(u):
@@ -309,16 +369,33 @@ def _ops_swap_times_local(u):
     ]
 
 
-def _ops_to_circuit(ops, pair: tuple[int, int], num_qubits: int) -> Circuit:
-    """Map internal wires to real qubits, merging consecutive 1q matrices."""
+_TEMPLATES = {0: _ops_0, 1: _ops_1, 2: _ops_2, 3: _ops_3}
+
+
+def _ops_to_gates(ops, pair: tuple[int, int], n: int):
+    """Map internal wires to real qubits, merging consecutive 1q matrices,
+    for n blocks that share `ops`.  Returns each block's gates and the
+    slots its unitary is rebuilt from: ("cx", qubits) or ("u3", qubit,
+    each block's params, or None where the merged matrix was dropped)."""
     qubit_of = {_W0: pair[1], _W1: pair[0]}
-    gates: list[Gate] = []
+    rows: list[list[Gate]] = [[] for _ in range(n)]
+    slots: list[tuple] = []
     pending: dict[int, np.ndarray] = {}
 
     def flush(q):
         m = pending.pop(q, None)
-        if m is not None and not is_identity_up_to_phase(m, 1e-12):
-            gates.append(u3_gate_from_matrix(m, q))
+        if m is None:
+            return
+        m = np.broadcast_to(m, (n, 2, 2))
+        # is_identity_up_to_phase's modulus test first, on the scalars it reads
+        near = [i for i, z in enumerate(m[:, 0, 0]) if not abs(abs(z) - 1.0) > 1e-12]
+        identity = {i for i in near if is_identity_up_to_phase(m[i], 1e-12)}
+        keep = np.array([i for i in range(n) if i not in identity], dtype=int)
+        params: list = [None] * n
+        for i, (theta, phi, lam, _) in zip(keep, u3_params(m[keep]) if keep.size else ()):
+            params[i] = (theta, phi, lam)
+            rows[i].append(Gate(GateKind.U3, (q,), params[i]))
+        slots.append(("u3", q, params))
 
     for op in ops:
         if op[0] == "1q":
@@ -327,10 +404,85 @@ def _ops_to_circuit(ops, pair: tuple[int, int], num_qubits: int) -> Circuit:
         else:
             for q in (qubit_of[op[1]], qubit_of[op[2]]):
                 flush(q)
-            gates.append(Gate(GateKind.CX, (qubit_of[op[1]], qubit_of[op[2]])))
+            cx = Gate(GateKind.CX, (qubit_of[op[1]], qubit_of[op[2]]))
+            for row in rows:
+                row.append(cx)
+            slots.append(("cx", cx.qubits))
     for q in list(pending):
         flush(q)
-    return Circuit(num_qubits, tuple(gates))
+    return rows, slots
+
+
+def _u3_stack(params) -> np.ndarray:
+    """``u3_matrix`` of each (theta, phi, lam)."""
+    theta, phi, lam = (np.array(p) for p in zip(*params))
+    c = np.array([math.cos(t / 2) for t in theta.tolist()])
+    s = np.array([math.sin(t / 2) for t in theta.tolist()])
+    m = np.empty((len(c), 2, 2), dtype=complex)
+    m[:, 0, 0] = c
+    m[:, 0, 1] = -np.exp(1j * lam) * s
+    m[:, 1, 0] = np.exp(1j * phi) * s
+    m[:, 1, 1] = np.exp(1j * (phi + lam)) * c
+    return m
+
+
+_CX_REVERSED = _SWAP4 @ CX_MATRIX @ _SWAP4
+
+
+def _rebuilt(slots, pair: tuple[int, int], n: int) -> np.ndarray:
+    """``pair_unitary`` of each of n blocks' gates; a block without the u3
+    of a slot keeps its product as it was there."""
+    a, b = pair
+    u = np.eye(4, dtype=complex)
+    for slot in slots:
+        if slot[0] == "cx":
+            u = (CX_MATRIX if slot[1] == (a, b) else _CX_REVERSED) @ u
+            continue
+        params = slot[2]
+        dropped = [p is None for p in params]
+        if all(dropped):
+            continue
+        m = _u3_stack([(0.0, 0.0, 0.0) if p is None else p for p in params])
+        step = (kron(_I2, m) if slot[1] == a else kron(m, _I2)) @ u
+        u = np.where(np.array(dropped)[:, None, None], u, step) if any(dropped) else step
+    return np.broadcast_to(u, (n, 4, 4))
+
+
+def _attempt(us, targets, counts, undo, pair, num_qubits) -> list:
+    """One synthesis attempt per block: its count's template applied to its
+    target, which is its unitary in `us` dressed by local gates; `undo`
+    holds the factors of the dressings' inverses, (left, right), each a pair
+    (on the internal wires 0 and 1).  Each block gets the circuit that
+    rebuilds its unitary, None where the circuit does not, or _RAISED where
+    a LAPACK call of its template raised."""
+    (la_i, lb_i), (ra_i, rb_i) = undo
+    out: list = [_RAISED] * len(us)
+    for count, template in _TEMPLATES.items():
+        group = np.flatnonzero(counts == count)
+        if not group.size:
+            continue
+        try:
+            branches = template(targets[group])
+        except (np.linalg.LinAlgError, FloatingPointError):
+            continue
+        for sub, ops in branches:
+            idx = group[sub]
+            full = ([("1q", _W0, ra_i), ("1q", _W1, rb_i)] + ops
+                    + [("1q", _W0, la_i), ("1q", _W1, lb_i)])
+            rows, slots = _ops_to_gates(full, pair, len(idx))
+            cx = sum(slot[0] == "cx" for slot in slots)
+            close = _phase_distance(_rebuilt(slots, pair, len(idx)), us[idx]) < _TOL
+            for i, row, ok in zip(idx, rows, close):
+                if not ok:
+                    out[i] = None
+                    continue
+                if cx != count:
+                    raise SynthesisResidual(f"emitted {cx} CNOTs, expected {count}")
+                out[i] = Circuit(num_qubits, tuple(row))
+    return out
+
+
+_RAISED = object()
 
 
 def pair_unitary(gates, pair: tuple[int, int], matrix=gate_matrix) -> np.ndarray:
@@ -354,7 +506,9 @@ def pair_unitary(gates, pair: tuple[int, int], matrix=gate_matrix) -> np.ndarray
 
 # the undressed attempt's factors, split from the identity exactly as the
 # dressed attempts split left^† (conj() gives its zeros their signs)
-_IDENTITY_FACTORS = _su2su2_factors(np.eye(4, dtype=complex).conj().T)
+_IDENTITY_FACTORS = tuple(
+    f[0] for f in _su2su2_factors(np.eye(4, dtype=complex).conj().T[None])
+)
 
 
 def _random_local(rng) -> np.ndarray:
@@ -364,58 +518,63 @@ def _random_local(rng) -> np.ndarray:
 
 
 def kak_synthesize(u: np.ndarray, pair: tuple[int, int], num_qubits: int | None = None,
-                   count: int | None = None) -> Circuit:
+                   count=None):
     """Circuit on `pair` equal to u up to global phase, with minimal CNOTs;
-    `count`, if given, is ``min_cnot_count(u)``, already known."""
+    `count`, if given, is ``min_cnot_count(u)``, already known.
+
+    A (N, 4, 4) stack, with its counts if known, gives a list of N circuits.
+    The stack goes through one undressed attempt per template branch; a
+    block whose circuit misses its unitary then retries alone with random
+    local dressings (folded back into the emitted gates), and a block whose
+    branch raised in LAPACK retries alone from the undressed attempt.
+    """
     u = _check_unitary(u)
+    us = u if u.ndim == 3 else u[None]
     if num_qubits is None:
         num_qubits = max(pair) + 1
-    if count is None:
-        count = min_cnot_count(u)
-    builders = {0: _ops_0, 1: _ops_1, 2: _ops_2, 3: _ops_3}
+    counts = min_cnot_count(us) if count is None else np.asarray(count).reshape(len(us))
+    ident = (_IDENTITY_FACTORS, _IDENTITY_FACTORS)
+    out = _attempt(us, us, counts, ident, pair, num_qubits)
+    for i, circ in enumerate(out):
+        if not isinstance(circ, Circuit):
+            out[i] = _retry(us[i], int(counts[i]), pair, num_qubits, circ is _RAISED)
+    return out[0] if u.ndim == 2 else out
+
+
+def _retry(u, count, pair, num_qubits, undressed: bool) -> Circuit:
+    """Synthesis of one block after its stacked undressed attempt failed:
+    attempt by attempt, as from the undressed one when `undressed`."""
     rng = np.random.default_rng(0x5EED)
-    for attempt in range(24):
+    for attempt in range(0 if undressed else 1, 24):
         if attempt == 0:
-            target = u
-            # undressed: the factors of the identity
-            (la_i, lb_i), (ra_i, rb_i) = _IDENTITY_FACTORS, _IDENTITY_FACTORS
+            target, undo = u, (_IDENTITY_FACTORS, _IDENTITY_FACTORS)
         else:
             la, lb = _random_local(rng), _random_local(rng)
             ra, rb = _random_local(rng), _random_local(rng)
             left, right = kron(la, lb), kron(ra, rb)
             target = left @ u @ right
             # undo the dressing: u = left^† target right^†
-            la_i, lb_i = _su2su2_factors(left.conj().T)
-            ra_i, rb_i = _su2su2_factors(right.conj().T)
-        try:
-            if count == 3 and min_cnot_count(target @ _SWAP4) == 0:
-                ops = _ops_swap_times_local(target)
-            else:
-                ops = builders[count](target)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            continue
-        full = (
-            [("1q", _W0, ra_i), ("1q", _W1, rb_i)]
-            + ops
-            + [("1q", _W0, la_i), ("1q", _W1, lb_i)]
-        )
-        circ = _ops_to_circuit(full, pair, num_qubits)
-        rebuilt = pair_unitary(circ.gates, pair)
-        if _phase_distance(rebuilt, u) < _TOL:
-            if circ.count(GateKind.CX) != count:
-                raise SynthesisResidual(
-                    f"emitted {circ.count(GateKind.CX)} CNOTs, expected {count}"
-                )
+            undo = tuple(tuple(f[0] for f in _su2su2_factors(m.conj().T[None]))
+                         for m in (left, right))
+        circ = _attempt(u[None], target[None], np.array([count]), undo, pair, num_qubits)[0]
+        if isinstance(circ, Circuit):
             return circ
     raise SynthesisResidual("could not reach reassembly tolerance")
 
 
-def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-abs deviation between a and b after removing one global phase."""
-    inner = np.trace(b.conj().T @ a)
-    if abs(inner) < 1e-12:
-        return float(np.max(np.abs(a - b)))
-    return float(np.max(np.abs(a * (abs(inner) / inner) - b)))
+def _phase_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per block, max-abs deviation between a and b after removing one
+    global phase; abs() and the phase's division per block, on numpy
+    scalars."""
+    inner = np.trace(b.conj().mT @ a, axis1=-2, axis2=-1)
+    out = np.empty(len(inner))
+    for i, z in enumerate(inner):
+        size = abs(z)
+        if size < 1e-12:
+            out[i] = np.max(np.abs(a[i] - b[i]))
+        else:
+            out[i] = np.max(np.abs(a[i] * (size / z) - b[i]))
+    return out
 
 
 # -- block collection ---------------------------------------------------------
@@ -429,7 +588,8 @@ class TwoQubitBlock:
 
 
 def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
-    """Maximal uninterrupted runs on one qubit pair; annotates dag.block_id."""
+    """Maximal uninterrupted runs on one qubit pair; annotates dag.block_id
+    and keeps the list in dag.blocks."""
     blocks: list[TwoQubitBlock] = []
     open_block: dict[int, TwoQubitBlock | None] = {}
     pending: dict[int, list[int]] = {}
@@ -464,6 +624,7 @@ def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
         open_block[a] = open_block[b] = blk
 
     dag.block_id = {nid: blk.block_id for blk in blocks for nid in blk.node_ids}
+    dag.blocks = blocks
     return blocks
 
 
@@ -498,16 +659,18 @@ def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
                          memo: CompileMemo) -> None:
     """Write each given block's CNOT counts with and without an appended
     SWAP into ``dag.block_cx`` and ``dag.block_cx_with_swap``, so the
-    router's block predictor is a dictionary lookup."""
+    router's block predictor is a dictionary lookup.  A block missing either
+    count is classified with and without the SWAP in one stacked call."""
     for blk in blocks:
         gates = [dag.gates[nid] for nid in blk.node_ids]
         res = block_results(memo, gates, blk.qubit_pair)
         if res.cx is None or res.cx_with_swap is None:
             u = block_unitary(blk, dag, memo)
+            cx, cx_with_swap = min_cnot_count(np.stack([u, _SWAP4 @ u])).tolist()
             if res.cx is None:
-                res.cx = min_cnot_count(u)
+                res.cx = cx
             if res.cx_with_swap is None:
-                res.cx_with_swap = min_cnot_count(_SWAP4 @ u)
+                res.cx_with_swap = cx_with_swap
         dag.block_cx[blk.block_id] = res.cx
         dag.block_cx_with_swap[blk.block_id] = res.cx_with_swap
 

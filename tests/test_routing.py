@@ -7,7 +7,7 @@ from optswap.bench import builtin_circuit
 from optswap.circuit import Circuit, metrics
 from optswap.commutation import DecompositionLabel
 from optswap.dag import build_dag
-from optswap.gates import Gate, GateKind
+from optswap.gates import SWAP_MATRIX, Gate, GateKind
 from optswap import commutation, routing, synthesis
 from optswap.memo import CompileMemo
 from optswap.routing import (
@@ -34,6 +34,7 @@ from optswap.routing import (
     route,
 )
 from optswap.sim import circuit_unitary, equivalent_up_to_permutation
+from optswap.synthesis import pair_unitary
 from optswap.topology import NoiseProfile, grid_map, linear_map, montreal_map
 
 from annotate_reference import annotate_eagerly, assert_same_annotations, force_annotations
@@ -739,6 +740,53 @@ def test_annotations_on_demand_equal_eager_ones(seed):
         assert_same_annotations(dag, annotate_eagerly(circ, forgetful()))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_forward_dag_adopts_what_pre_optimization_analysed(seed):
+    """Pre-optimization's last round analyses the blocks and commute sets
+    of the gates it returns; the router's DAG of those gates, padded to the
+    device, adopts them, and they equal annotations computed afresh."""
+    rng = np.random.default_rng([seed, 31])
+    memo = CompileMemo()
+    logical = optimize_circuit(random_annotated_circuit(rng, 6, 120), memo)
+    assert memo.fixpoint is not None and memo.fixpoint.gates == logical.gates
+    padded = Circuit(9, logical.gates)
+    dag = _annotate_for_routing(padded, memo, memo.fixpoint)
+    assert vars(dag).keys() >= {"block_id", "commute_set"}  # adopted, not computed
+    force_annotations(dag)
+    assert_same_annotations(dag, annotate_eagerly(padded, forgetful()))
+
+
+def test_without_a_fixpoint_the_router_annotates_on_demand(monkeypatch):
+    """No fixpoint is left when the loop hits its cap, or when the last
+    round's passes return another DAG than the one they analysed; the
+    compile then annotates on demand and routes as before."""
+    circ = random_annotated_circuit(np.random.default_rng(11), 6, 100)
+    cfg = RouterConfig(algorithm=NASSC, seed=3)
+    want = full_pipeline(circ, grid_map(2, 3), cfg)
+    merge = routing.merge_1q_runs
+
+    def copies(dag, memo):  # the same gates in another DAG
+        merged = merge(dag, memo)
+        return merged.with_gates(merged.gates)
+
+    monkeypatch.setattr(routing, "merge_1q_runs", copies)
+    memo = CompileMemo()
+    optimize_circuit(circ, memo)
+    assert memo.fixpoint is None
+    got = full_pipeline(circ, grid_map(2, 3), cfg)
+    assert got.circuit == want.circuit
+    assert (got.initial_mapping, got.final_mapping) == (want.initial_mapping, want.final_mapping)
+
+    def toggles(dag, memo):  # never converges
+        last = dag.gates[-1].kind is GateKind.BARRIER
+        return dag.with_gates(dag.gates[:-1] if last else
+                              dag.gates + (Gate(GateKind.BARRIER, (0,)),))
+
+    monkeypatch.setattr(routing, "merge_1q_runs", toggles)
+    optimize_circuit(circ, memo)
+    assert memo.fixpoint is None
+
+
 def annotation_calls(monkeypatch) -> list:
     """Records (name, whether it ran on a router's DAG, whether it ran while
     routing) for every block, block-cost and commutation analysis and every
@@ -789,29 +837,40 @@ def test_sabre_compile_computes_no_routing_annotation(monkeypatch):
     names = {name for name, _, _ in on_demand}
     assert names == {"collect_blocks", "annotate_block_costs", "commutation_analysis",
                      "min_cnot_count"}
-    # blocks and commute sets once per DAG, each on the router's DAG
-    assert sum(name == "collect_blocks" for name, _, _ in on_demand) == 2
-    assert sum(name == "commutation_analysis" for name, _, _ in on_demand) == 2
+    # the forward DAG adopts the blocks and commute sets pre-optimization's
+    # last round analysed, so each is computed once, on the reverse DAG
+    assert sum(name == "collect_blocks" for name, _, _ in on_demand) == 1
+    assert sum(name == "commutation_analysis" for name, _, _ in on_demand) == 1
     assert all(on_dag for name, on_dag, _ in on_demand if name != "min_cnot_count")
 
 
 def test_compiles_count_no_single_cnot_block_numerically(monkeypatch):
-    """Every ``min_cnot_count`` call follows the ``block_results`` lookup of
-    its block; a spy on both shows that neither router's compile classifies
-    a block whose one two-qubit gate is a CX or CZ, but both still classify
-    a lone CRX, whose CNOT count depends on its angle."""
-    last_block, counted, looked_up = [None], [], []
+    """Each matrix ``min_cnot_count`` classifies (one by one, or row by row
+    of a stack) is the unitary of a block looked up with ``block_results``,
+    or that unitary with a SWAP appended, bit for bit; a spy on both shows
+    that neither router's compile classifies a block whose one two-qubit
+    gate is a CX or CZ, but both still classify a lone CRX, whose CNOT
+    count depends on its angle.  A matrix that blocks of different kinds
+    share is not attributed: a CX block with a SWAP appended equals that
+    block followed by the SWAP's three CNOTs, bit for bit."""
+    kinds_of, counted, looked_up = {}, [], []
 
     def block_results(fn):
         def recorded(memo, gates, pair):
-            last_block[0] = tuple(g.kind for g in gates if g.num_qubits == 2)
-            looked_up.append(last_block[0])
+            kinds = tuple(g.kind for g in gates if g.num_qubits == 2)
+            looked_up.append(kinds)
+            u = pair_unitary(gates, pair)
+            for m in (u, SWAP_MATRIX @ u):
+                kinds_of.setdefault(m.tobytes(), set()).add(kinds)
             return fn(memo, gates, pair)
         return recorded
 
     def min_cnot_count(fn):
         def recorded(u):
-            counted.append(last_block[0])
+            for m in (u if u.ndim == 3 else [u]):
+                kinds = kinds_of.get(np.ascontiguousarray(m).tobytes(), set())
+                if len(kinds) == 1:
+                    counted.extend(kinds)
             return fn(u)
         return recorded
 

@@ -13,7 +13,6 @@ from optswap.gates import (
     Gate,
     GateKind,
     gate_matrix,
-    u3_gate_from_matrix,
 )
 from optswap.memo import CompileMemo
 from optswap.routing import resynthesize_blocks
@@ -32,6 +31,7 @@ from optswap.synthesis import (
 )
 
 from conftest import haar_unitary, phase_distance
+from kak_reference import u3_gate_from_matrix
 from weyl_oracle import canonical_matrix, weyl_coordinates
 
 PI4 = math.pi / 4
