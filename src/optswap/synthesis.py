@@ -182,8 +182,10 @@ def _counts(us: np.ndarray) -> np.ndarray:
     sign = np.where(tr.real >= 0, 1.0, -1.0)[:, None, None]
     local = np.abs(gamma - sign * _I4).max(axis=(-2, -1)) < 1e-9
     # abs() of the trace as a Python complex rounds unlike np.abs of an array
-    small = np.array([abs(t) < 4e-9 for t in tr.tolist()], dtype=bool)
-    one = small & (np.abs(gamma @ gamma + _I4).max(axis=(-2, -1)) < 1e-8)
+    one = np.array([abs(t) < 4e-9 for t in tr.tolist()], dtype=bool)
+    if one.any():
+        g = gamma[one]
+        one[one] = np.abs(g @ g + _I4).max(axis=(-2, -1)) < 1e-8
     counts = np.full(len(us), 3)
     counts[np.abs(tr.imag) < 4e-9] = 2
     counts[one] = 1
@@ -659,18 +661,17 @@ def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
                          memo: CompileMemo) -> None:
     """Write each given block's CNOT counts with and without an appended
     SWAP into ``dag.block_cx`` and ``dag.block_cx_with_swap``, so the
-    router's block predictor is a dictionary lookup.  A block missing either
-    count is classified with and without the SWAP in one stacked call."""
+    router's block predictor is a dictionary lookup.  A block's missing
+    counts, with and without the SWAP, are classified in one stacked call."""
     for blk in blocks:
         gates = [dag.gates[nid] for nid in blk.node_ids]
         res = block_results(memo, gates, blk.qubit_pair)
         if res.cx is None or res.cx_with_swap is None:
             u = block_unitary(blk, dag, memo)
-            cx, cx_with_swap = min_cnot_count(np.stack([u, _SWAP4 @ u])).tolist()
-            if res.cx is None:
-                res.cx = cx
-            if res.cx_with_swap is None:
-                res.cx_with_swap = cx_with_swap
+            missing = [name for name in ("cx", "cx_with_swap") if getattr(res, name) is None]
+            stack = np.stack([u if name == "cx" else _SWAP4 @ u for name in missing])
+            for name, count in zip(missing, min_cnot_count(stack).tolist()):
+                setattr(res, name, count)
         dag.block_cx[blk.block_id] = res.cx
         dag.block_cx_with_swap[blk.block_id] = res.cx_with_swap
 
