@@ -204,8 +204,11 @@ def run_bench(spec: BenchSpec, jobs: int = 1) -> list[BenchRow]:
 
     Delta columns appear on non-baseline rows as 1 - value/baseline, where
     the baseline is the first configured router for the same circuit.  The
-    summary row geomean-averages the per-circuit ratios.
+    summary row geomean-averages the per-circuit ratios.  At most one worker
+    process runs per cell.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise BenchError(f"jobs must be an integer >= 1, got {jobs!r}")
     cmap = resolve_coupling(spec.topology)
     profile = (
         load_noise_profile(spec.noise_profile_path)
@@ -218,8 +221,10 @@ def run_bench(spec: BenchSpec, jobs: int = 1) -> list[BenchRow]:
     for name, circuit in circuits:
         for cfg in spec.routers:
             cells.append((name, circuit, cfg))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method launches every worker up front, needed or not
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(
                 pool.map(
                     _run_cell,

@@ -9,13 +9,23 @@ additionally subtracts the CNOTs the candidate SWAP is predicted to save via
 two-qubit block re-synthesis and the two commutation cancellations, and tags
 such SWAPs with the decomposition orientation those cancellations need.
 
-Distances are scored relatively, as in LightSABRE: once per iteration each
-layer (front and extended) is mapped to physical pairs, summed, and indexed
-by physical qubit; a candidate SWAP(u, v) then costs only the change on the
-gates that touch u or v.  Hop distances are integers, so these sums equal
-the direct ones exactly; noise-aware float distances may differ in the last
-bits.  The extended layer depends only on the DAG and the unsatisfied front,
-so it is recomputed only when that front changes.
+Distances are scored relatively, as in LightSABRE, in one pass per
+iteration (``_score_edges``).  Each layer's gates are mapped to physical
+pairs (pa, pb, distance) and summed in node order.  The pairs go into two
+per-qubit tables that ``_RouteState`` allocates once per ``route`` call and
+that are all None between passes: ``front_on[p]`` holds the one front pair
+on qubit p, since a drained front is qubit-disjoint (two gates on one wire
+are ordered in the DAG), and ``ext_on[p]`` the list of extended pairs on p.
+A candidate SWAP(u, v) then costs only the change on the gates that touch u
+or v: the change starts at 0.0, adds the pairs on u in layer order, then
+those on v that are not on u, each read as ``dist[new_a][new_b]`` in the
+gate's own qubit order (noise distances are not bit-symmetric).  The cost
+is ``(3*(total + change) - predicted savings) / front size`` plus the
+weight times the extended layer's ``(total + change) / size``.  Hop
+distances are integers, so these sums equal the direct ones exactly;
+noise-aware float distances may differ in the last bits.  The extended
+layer depends only on the DAG and the unsatisfied front, so it is
+recomputed only when that front changes.
 
 Each iteration otherwise redoes only what the last SWAP changed, as in
 LightSABRE: a drain re-checks only the front gates on the SWAP's two qubits
@@ -215,10 +225,15 @@ class _RouteState:
             gate.num_qubits == 2 and gate.is_unitary_gate() for gate in dag.gates
         ]
         self.successors = [dag.successors(nid) for nid in dag.order]
-        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for edge in cmap.sorted_edges():
+        # edge ids follow the sorted edge list, so sorted ids are sorted edges
+        self.edges = cmap.sorted_edges()
+        self.incident: list[list[int]] = [[] for _ in range(n)]
+        for i, edge in enumerate(self.edges):
             for q in edge:
-                self.incident[q].append(edge)
+                self.incident[q].append(i)
+        # _score_edges's per-qubit layer tables, all None between its calls
+        self.front_on: list[tuple[int, int, float] | None] = [None] * n
+        self.ext_on: list[list[tuple[int, int, float]] | None] = [None] * n
         self.ops: list[RoutedOp] = []
         self.wire_hist: list[list[RoutedOp]] = [[] for _ in range(n)]
         self.version = [0] * n
@@ -372,78 +387,103 @@ def enumerate_candidates(state: _RouteState, front_2q: list[int]) -> list[tuple[
     if not front_2q:
         raise RoutingError("no unsatisfied front gate to route")
     l2p = state.mapping.log_to_phys
-    return sorted({
-        edge
-        for nid in front_2q
-        for q in state.node_qubits[nid]
-        for edge in state.incident[l2p[q]]
-    })
-
-
-class _Layer:
-    """Two-qubit gates of one iteration as physical pairs under the current
-    layout: their distance sum, and the pairs on each physical qubit."""
-
-    def __init__(self, state: _RouteState, nids: list[int], dist: list[list[float]]):
-        self.nids = nids
-        self.dist = dist
-        l2p = state.mapping.log_to_phys
-        self.total = 0.0
-        self.on: dict[int, list[tuple[int, int, float]]] = {}
-        for nid in nids:
-            qa, qb = state.node_qubits[nid]
-            pa, pb = l2p[qa], l2p[qb]
-            d = dist[pa][pb]
-            self.total += d
-            pair = (pa, pb, d)
-            self.on.setdefault(pa, []).append(pair)
-            self.on.setdefault(pb, []).append(pair)
-
-    def sum_after_swap(self, u: int, v: int) -> float:
-        """The layer's distance sum once SWAP(u, v) exchanges the two qubits;
-        each moved gate's distance is read in its own qubit order."""
-        dist = self.dist
-        delta = 0.0
-        for pa, pb, d in self.on.get(u, ()):
-            na = v if pa == u else u if pa == v else pa
-            nb = v if pb == u else u if pb == v else pb
-            delta += dist[na][nb] - d
-        for pa, pb, d in self.on.get(v, ()):
-            if pa == u or pb == u:
-                continue  # on both qubits: counted with u
-            delta += dist[u if pa == v else pa][u if pb == v else pb] - d
-        return self.total + delta
+    incident = state.incident
+    ids = {i for nid in front_2q for q in state.node_qubits[nid] for i in incident[l2p[q]]}
+    edges = state.edges
+    return [edges[i] for i in sorted(ids)]
 
 
 def _score_edges(
     state: _RouteState,
     edges: list[tuple[int, int]],
-    front: _Layer,
-    extended: _Layer,
+    front_2q: list[int],
+    extended: list[int],
+    rows: list[list[float]],
     cfg: RouterConfig,
 ) -> list[float]:
     """Cost of a SWAP on each edge: three CNOTs per unit of front distance
     after it, minus the CNOTs later passes are predicted to save, per front
     gate; plus the weighted mean extended-layer distance.  Commute
-    cancellations win exact ties by a nudge."""
-    n_front = len(front.nids)
-    n_ext = len(extended.nids)
+    cancellations win exact ties by a nudge.
+
+    Fills the state's per-qubit layer tables (see the module docstring) and
+    sets them back to None before returning.
+    """
+    l2p = state.mapping.log_to_phys
+    node_qubits = state.node_qubits
+    front_on, ext_on = state.front_on, state.ext_on
+    total = 0.0
+    for nid in front_2q:
+        qa, qb = node_qubits[nid]
+        pa, pb = l2p[qa], l2p[qb]
+        d = rows[pa][pb]
+        total += d
+        front_on[pa] = front_on[pb] = (pa, pb, d)
+    etotal = 0.0
+    ext_qubits: list[int] = []
+    for nid in extended:
+        qa, qb = node_qubits[nid]
+        pa, pb = l2p[qa], l2p[qb]
+        d = rows[pa][pb]
+        etotal += d
+        pair = (pa, pb, d)
+        for p in (pa, pb):
+            if ext_on[p] is None:
+                ext_on[p] = [pair]
+                ext_qubits.append(p)
+            else:
+                ext_on[p].append(pair)
+
+    n_front = len(front_2q)
+    n_ext = len(extended)
     weight = cfg.extended_weight
     predicts = any(state.flags)
-    front_sum = front.sum_after_swap
-    ext_sum = extended.sum_after_swap
+    predictions, version = state.predictions, state.version
     costs = []
-    for u, v in edges:
+    for edge in edges:
+        u, v = edge
         reduction = commute = 0
         if predicts:
-            c2q, ccommute1, ccommute2, _, _ = state.predict(u, v)
+            entry = predictions.get(edge)
+            if entry is not None and entry[0] == version[u] and entry[1] == version[v]:
+                c2q, ccommute1, ccommute2, _, _ = entry[2]
+            else:
+                c2q, ccommute1, ccommute2, _, _ = state.predict(u, v)
             reduction = c2q + ccommute1 + ccommute2
             commute = ccommute1 + ccommute2
-        basic = (3.0 * front_sum(u, v) - reduction) / n_front
+        # a gate on both u and v is the one front pair on u: counted with u
+        delta = 0.0
+        on_u = front_on[u]
+        if on_u is not None:
+            pa, pb, d = on_u
+            delta += rows[v if pa == u else u if pa == v else pa][
+                v if pb == u else u if pb == v else pb] - d
+        on_v = front_on[v]
+        if on_v is not None and on_v is not on_u:
+            pa, pb, d = on_v
+            delta += rows[u if pa == v else pa][u if pb == v else pb] - d
+        basic = (3.0 * (total + delta) - reduction) / n_front
         lookahead = 0.0
         if n_ext:
-            lookahead = weight * ext_sum(u, v) / n_ext
+            delta = 0.0
+            pairs = ext_on[u]
+            if pairs is not None:
+                for pa, pb, d in pairs:
+                    delta += rows[v if pa == u else u if pa == v else pa][
+                        v if pb == u else u if pb == v else pb] - d
+            pairs = ext_on[v]
+            if pairs is not None:
+                for pa, pb, d in pairs:
+                    if pa != u and pb != u:
+                        delta += rows[u if pa == v else pa][u if pb == v else pb] - d
+            lookahead = weight * (etotal + delta) / n_ext
         costs.append(basic + lookahead - _COMMUTE_TIEBREAK * commute)
+
+    for nid in front_2q:
+        for q in node_qubits[nid]:
+            front_on[l2p[q]] = None
+    for p in ext_qubits:
+        ext_on[p] = None
     return costs
 
 
@@ -491,8 +531,7 @@ def route(
             extended = state.extended_layer(front_2q, cfg.extended_size)
             front_before = front_2q
         edges = enumerate_candidates(state, front_2q)
-        costs = _score_edges(state, edges, _Layer(state, front_2q, rows),
-                             _Layer(state, extended, rows), cfg)
+        costs = _score_edges(state, edges, front_2q, extended, rows, cfg)
         best = min(costs)
         tied = [i for i, cost in enumerate(costs) if cost <= best + 1e-12]
         pick = tied[int(rng.integers(len(tied)))] if len(tied) > 1 else tied[0]

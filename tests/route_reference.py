@@ -1,11 +1,16 @@
-"""The router's loop as it ran before it kept incremental state: a reference
-for tests.
+"""The router's loop as it ran before it kept incremental state, and its
+scorer as it ran before the per-qubit layer tables: references for tests.
 
 ``reference_route`` re-checks the whole front on every drain sweep, re-sorts
 the front after every emitted gate, re-derives successor lists from the DAG,
 and scores each candidate with ``score_candidate``, which calls the three
 predictors afresh every time.  ``routing.route`` must give the same ops, final
 mapping and SWAP counters for the same inputs and random generator.
+
+``reference_score_edges`` scores candidates over ``Layer`` objects, one per
+layer, each holding its distance sum and a dict of the pairs on each
+physical qubit.  ``routing._score_edges`` must give the same costs, float for
+float, with hop and with noise-aware distances.
 """
 
 from __future__ import annotations
@@ -20,13 +25,75 @@ from optswap.routing import (
     RoutingError,
     SwapCandidate,
     _greedy_resolve,
-    _Layer,
     _RouteState,
     enumerate_candidates,
     predict_c2q,
     predict_ccommute1,
     predict_ccommute2,
 )
+
+
+class Layer:
+    """Two-qubit gates of one iteration as physical pairs under the current
+    layout: their distance sum, and the pairs on each physical qubit."""
+
+    def __init__(self, state: _RouteState, nids: list[int], dist: list[list[float]]):
+        self.nids = nids
+        self.dist = dist
+        l2p = state.mapping.log_to_phys
+        self.total = 0.0
+        self.on: dict[int, list[tuple[int, int, float]]] = {}
+        for nid in nids:
+            qa, qb = state.node_qubits[nid]
+            pa, pb = l2p[qa], l2p[qb]
+            d = dist[pa][pb]
+            self.total += d
+            pair = (pa, pb, d)
+            self.on.setdefault(pa, []).append(pair)
+            self.on.setdefault(pb, []).append(pair)
+
+    def sum_after_swap(self, u: int, v: int) -> float:
+        """The layer's distance sum once SWAP(u, v) exchanges the two qubits;
+        each moved gate's distance is read in its own qubit order."""
+        dist = self.dist
+        delta = 0.0
+        for pa, pb, d in self.on.get(u, ()):
+            na = v if pa == u else u if pa == v else pa
+            nb = v if pb == u else u if pb == v else pb
+            delta += dist[na][nb] - d
+        for pa, pb, d in self.on.get(v, ()):
+            if pa == u or pb == u:
+                continue  # on both qubits: counted with u
+            delta += dist[u if pa == v else pa][u if pb == v else pb] - d
+        return self.total + delta
+
+
+def reference_score_edges(
+    state: _RouteState,
+    edges: list[tuple[int, int]],
+    front: Layer,
+    extended: Layer,
+    cfg: RouterConfig,
+) -> list[float]:
+    """Each edge's cost from the two layers, predictions through
+    ``state.predict``."""
+    n_front = len(front.nids)
+    n_ext = len(extended.nids)
+    weight = cfg.extended_weight
+    predicts = any(state.flags)
+    costs = []
+    for u, v in edges:
+        reduction = commute = 0
+        if predicts:
+            c2q, ccommute1, ccommute2, _, _ = state.predict(u, v)
+            reduction = c2q + ccommute1 + ccommute2
+            commute = ccommute1 + ccommute2
+        basic = (3.0 * front.sum_after_swap(u, v) - reduction) / n_front
+        lookahead = 0.0
+        if n_ext:
+            lookahead = weight * extended.sum_after_swap(u, v) / n_ext
+        costs.append(basic + lookahead - _COMMUTE_TIEBREAK * commute)
+    return costs
 
 
 class ReferenceState(_RouteState):
@@ -99,8 +166,8 @@ class ReferenceState(_RouteState):
 def score_candidate(
     state: _RouteState,
     edge: tuple[int, int],
-    front: _Layer,
-    extended: _Layer,
+    front: Layer,
+    extended: Layer,
     cfg: RouterConfig,
 ) -> SwapCandidate:
     """One candidate's cost, with every prediction computed afresh."""
@@ -167,8 +234,8 @@ def reference_route(dag, cmap, dist: np.ndarray, cfg: RouterConfig, mapping,
         if front_2q != front_before:
             extended = state.extended_layer(front_2q, cfg.extended_size)
             front_before = front_2q
-        front_layer = _Layer(state, front_2q, rows)
-        ext_layer = _Layer(state, extended, rows)
+        front_layer = Layer(state, front_2q, rows)
+        ext_layer = Layer(state, extended, rows)
         candidates = [
             score_candidate(state, edge, front_layer, ext_layer, cfg)
             for edge in enumerate_candidates(state, front_2q)

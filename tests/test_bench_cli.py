@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from optswap import bench
 from optswap.bench import (
     BenchError,
     BenchSpec,
@@ -268,6 +269,59 @@ def test_cli_bench(tmp_path):
     lines = csv_out.read_text().splitlines()
     assert lines[0].split(",") == CSV_COLUMNS
     assert len(lines) == 4
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process, so no worker process is ever started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, routers, pool_sizes", [
+    (10**6, (RouterConfig(algorithm=SABRE), RouterConfig(algorithm=NASSC)), [2]),
+    (2, (RouterConfig(algorithm=SABRE), RouterConfig(algorithm=NASSC)), [2]),
+    (10**6, (RouterConfig(algorithm=NASSC),), []),
+    (1, (RouterConfig(algorithm=SABRE), RouterConfig(algorithm=NASSC)), []),
+])
+def test_bench_starts_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, routers,
+                                                 pool_sizes):
+    # the fork start method launched all `jobs` workers even for two cells
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    qasm = tmp_path / "fig1.qasm"
+    qasm.write_text(FIG1_QASM)
+    spec = BenchSpec(circuits=[str(qasm)], topology="linear(3)", routers=routers, trials=1)
+    rows = run_bench(spec, jobs=jobs)
+    assert RecordingPool.sizes == pool_sizes
+    assert [row.router for row in rows[:len(routers)]] == [cfg.algorithm for cfg in routers]
+    assert not any(row.error for row in rows)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2"])
+def test_bench_rejects_bad_jobs(jobs):
+    # zero and negative counts ran serially without a word
+    with pytest.raises(BenchError, match="jobs"):
+        run_bench(BenchSpec(circuits=["grover_n4"]), jobs=jobs)
+
+
+def test_cli_bench_rejects_zero_jobs(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"circuits": ["grover_n4"], "topology": "linear(4)"}))
+    assert main(["bench", "--spec", str(spec), "--jobs", "0"]) == 2
+    assert "error: BenchError: jobs must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_rejects_nan_extended_weight(tmp_path, capsys):

@@ -20,7 +20,6 @@ from optswap.routing import (
     SwapCandidate,
     TooFewPhysicalQubits,
     _greedy_resolve,
-    _Layer,
     _RouteState,
     _annotate_for_routing,
     _score_edges,
@@ -41,7 +40,7 @@ from annotate_reference import annotate_eagerly, assert_same_annotations, force_
 from conftest import phase_distance
 from test_memo import forgetful
 from direct_score import direct_score
-from route_reference import reference_route, score_candidate
+from route_reference import Layer, reference_route, reference_score_edges, score_candidate
 
 
 def cx(a, b):
@@ -75,14 +74,9 @@ def make_state(circuit, cmap, mapping=None, annotate=True, cfg=None):
     return _RouteState(dag, cmap, mapping, flags)
 
 
-def layers(state, front, ext, dist):
-    rows = dist.tolist()
-    return _Layer(state, front, rows), _Layer(state, ext, rows)
-
-
 def scored(state, edges, front, ext, dist, cfg):
     """The router's candidates for edges, with their costs and predictions."""
-    costs = _score_edges(state, edges, *layers(state, front, ext, dist), cfg)
+    costs = _score_edges(state, edges, front, ext, dist.tolist(), cfg)
     return [SwapCandidate(edge, *state.predict(*edge), cost=cost)
             for edge, cost in zip(edges, costs)]
 
@@ -308,13 +302,17 @@ def test_route_reuses_extended_layer_only_while_front_is_unchanged(monkeypatch):
     score = routing._score_edges
     scored: list = []  # the front layer of each scored iteration
 
-    def checked(state, edges, front, extended, cfg):
-        if not scored or scored[-1] is not front:
-            scored.append(front)
-            assert extended.nids == fresh_extended(state, front.nids, cfg.extended_size)
-            fresh = _Layer(state, extended.nids, front.dist)
-            assert (extended.total, extended.on) == (fresh.total, fresh.on)
-        return score(state, edges, front, extended, cfg)
+    def checked(state, edges, front_2q, extended, rows, cfg):
+        scored.append(list(front_2q))
+        fresh = fresh_extended(state, front_2q, cfg.extended_size)
+        assert extended == fresh
+        # the extended layer is scored under the current layout, not the one
+        # it was first computed under
+        expected = reference_score_edges(state, edges, Layer(state, front_2q, rows),
+                                         Layer(state, fresh, rows), cfg)
+        costs = score(state, edges, front_2q, extended, rows, cfg)
+        assert costs == expected
+        return costs
 
     monkeypatch.setattr(_RouteState, "extended_layer", counting)
     monkeypatch.setattr(routing, "_score_edges", checked)
@@ -403,18 +401,140 @@ def test_route_matches_reference_loop_through_stall_fallback(monkeypatch):
     assert fired
 
 
+# -- per-qubit layer tables against the reference scorer -------------------------
+
+
+def assert_tables_clear(state):
+    assert state.front_on == [None] * len(state.front_on)
+    assert state.ext_on == [None] * len(state.ext_on)
+
+
+def tables_match_reference(state, edges, front_2q, extended, rows, cfg, seen):
+    """Score `edges` with the tables and with the reference layers: the same
+    costs, float for float.  Counts in `seen` what the call covered."""
+    for u, v in edges:
+        entry = state.predictions.get((u, v))
+        fresh = entry is not None and entry[:2] == (state.version[u], state.version[v])
+        seen["hit" if fresh else "miss"] += 1
+    costs = _score_edges(state, edges, front_2q, extended, rows, cfg)
+    assert_tables_clear(state)
+    front, ext = Layer(state, front_2q, rows), Layer(state, extended, rows)
+    assert costs == reference_score_edges(state, edges, front, ext, cfg)
+    own = {(min(pa, pb), max(pa, pb)) for pa, pb, _ in
+           (pair for pairs in front.on.values() for pair in pairs)}
+    seen["own_pair"] += len(own & set(edges))
+    seen["shared_ext"] += any(len(pairs) > 1 for pairs in ext.on.values())
+
+
+@pytest.mark.parametrize("algorithm", [SABRE, NASSC])
+@pytest.mark.parametrize("extended_size", [0, 20])
+@pytest.mark.parametrize("device", ["montreal", "grid88", "noisy_grid25"])
+def test_layer_tables_score_as_the_reference_layers(device, extended_size, algorithm):
+    seen = {"hit": 0, "miss": 0, "own_pair": 0, "shared_ext": 0}
+    for seed in range(2):
+        rng = np.random.default_rng([seed, extended_size, 13])
+        circ, cmap, noise = reference_case(device, rng)
+        cfg = RouterConfig(algorithm=algorithm, extended_size=extended_size,
+                           noise_profile=noise)
+        rows = distance_matrix_for(cmap, cfg).tolist()
+        n = cmap.num_physical_qubits
+        state = make_state(circ, cmap, QubitMapping([int(p) for p in rng.permutation(n)]),
+                           cfg=cfg)
+        assert_tables_clear(state)
+        for _ in range(30):
+            # before the drain the front holds gates on couplings: each
+            # coupling edge, their own pairs included, is a candidate
+            undrained = [nid for nid in state.front if state.needs_edge[nid]]
+            if undrained:
+                ext = state.extended_layer(undrained, extended_size)
+                tables_match_reference(state, cmap.sorted_edges(), undrained, ext, rows,
+                                       cfg, seen)
+            state.drain_front()
+            if not state.front:
+                break
+            front = list(state.front)
+            ext = state.extended_layer(front, extended_size)
+            edges = enumerate_candidates(state, front)
+            tables_match_reference(state, edges, front, ext, rows, cfg, seen)
+            state.insert_swap(SwapCandidate(edges[int(rng.integers(len(edges)))]))
+    assert seen["own_pair"] > 0
+    if extended_size:
+        assert seen["shared_ext"] > 0
+    if algorithm == NASSC:
+        assert seen["hit"] > 0 and seen["miss"] > 0
+
+
+@pytest.mark.parametrize("cmap", [grid_map(8, 8), linear_map(25), montreal_map()],
+                         ids=["grid88", "linear25", "montreal"])
+def test_drained_front_is_qubit_disjoint_and_off_the_coupling_map(cmap, monkeypatch):
+    # the front table holds one pair per physical qubit
+    score = routing._score_edges
+    iterations = []
+
+    def checked(state, edges, front_2q, extended, rows, cfg):
+        qubits = [q for nid in front_2q for q in state.node_qubits[nid]]
+        assert len(qubits) == len(set(qubits))
+        assert all(state.needs_edge[nid] and not state.executable(nid) for nid in front_2q)
+        iterations.append(len(front_2q))
+        return score(state, edges, front_2q, extended, rows, cfg)
+
+    monkeypatch.setattr(routing, "_score_edges", checked)
+    n = cmap.num_physical_qubits
+    for seed in range(2):
+        rng = np.random.default_rng([seed, n])
+        circ = random_circuit(rng, n, 3 * n, n)
+        for algorithm in (SABRE, NASSC):
+            cfg = RouterConfig(algorithm=algorithm)
+            route(annotated(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+                  QubitMapping([int(p) for p in rng.permutation(n)]),
+                  np.random.default_rng(seed))
+    assert iterations and max(iterations) > 1
+
+
+def test_route_scores_what_enumerate_candidates_returns_once_per_iteration(monkeypatch):
+    # perfbench counts route iterations and candidates by rebinding the
+    # module global routing.enumerate_candidates
+    enumerate_fn, score = routing.enumerate_candidates, routing._score_edges
+    enumerated, scored_edges = [], []
+
+    def recording(state, front_2q):
+        enumerated.append(enumerate_fn(state, front_2q))
+        return enumerated[-1]
+
+    def checked(state, edges, front_2q, extended, rows, cfg):
+        scored_edges.append(edges)
+        return score(state, edges, front_2q, extended, rows, cfg)
+
+    monkeypatch.setattr(routing, "enumerate_candidates", recording)
+    monkeypatch.setattr(routing, "_score_edges", checked)
+    cmap = grid_map(8, 8)
+    rng = np.random.default_rng(21)
+    circ = random_circuit(rng, 64, 80, 20)
+    for algorithm in (SABRE, NASSC):
+        enumerated.clear()
+        scored_edges.clear()
+        cfg = RouterConfig(algorithm=algorithm)
+        outcome = route(annotated(circ), cmap, distance_matrix_for(cmap, cfg), cfg,
+                        QubitMapping([int(p) for p in rng.permutation(64)]),
+                        np.random.default_rng(0))
+        # no stall fallback ran: each SWAP was one scored iteration
+        assert len(enumerated) == len(scored_edges) == outcome.swaps_inserted > 0
+        assert all(a is b for a, b in zip(enumerated, scored_edges))
+
+
 def test_route_serves_cached_predictions_equal_to_fresh_ones(monkeypatch):
     score = routing._score_edges
     served = {"hit": 0, "miss": 0}
 
-    def checked(state, edges, front, extended, cfg):
+    def checked(state, edges, front_2q, extended, rows, cfg):
         for u, v in edges:
             entry = state.predictions.get((u, v))
             fresh = entry is not None and entry[:2] == (state.version[u], state.version[v])
             served["hit" if fresh else "miss"] += 1
-        costs = score(state, edges, front, extended, cfg)
+        costs = score(state, edges, front_2q, extended, rows, cfg)
+        front, ext = Layer(state, front_2q, rows), Layer(state, extended, rows)
         for edge, cost in zip(edges, costs):
-            ref = score_candidate(state, edge, front, extended, cfg)
+            ref = score_candidate(state, edge, front, ext, cfg)
             assert state.predict(*edge) == (ref.c2q, ref.ccommute1, ref.ccommute2,
                                             ref.label, ref.prev_swap_entry)
             assert cost == ref.cost
