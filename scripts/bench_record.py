@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Record one checkout's benchmark results in BENCH_<n>.json.
+"""Record a change's and its parent's benchmark results in BENCH_<n>.json.
 
-    python3 scripts/bench_record.py N --label LABEL [--checkout DIR]
+    python3 scripts/bench_record.py N --parent DIR
 
-Runs ``perfbench/run.py`` of the checkout DIR (default: the checkout this
-script sits in) for every workload its BENCHMARK.json declares, at seed 1
-for the declared ``run_seconds``, once with ``--trace 0`` and once with
-``--trace 1``.  Each run's last two lines of output, the environment line
-(with the git revision the run saw) and the result object, are stored under
-LABEL in BENCH_<N>.json at the root of the checkout this script sits in; a
-run of the same label already in the file is replaced, others are kept.  So
-one file can hold a change and its parent: run the script once per checkout.
-Exits 1 if any run failed; its error is recorded.
+The change is the checkout this script sits in; the parent is the checkout
+in DIR (one made with ``git clone`` or ``git archive`` will do).  For every
+workload this checkout's BENCHMARK.json declares, each side's
+``perfbench/run.py`` runs at seed 1 for the declared ``run_seconds``, once
+with ``--trace 0`` and once with ``--trace 1``.  The two sides alternate run
+by run, and the side that goes first switches from one (workload, trace)
+pair to the next, so host drift over the minutes a recording takes falls on
+both sides alike.  Each run's last two lines of output, the environment
+line (with the git revision the run saw) and the result object, are stored
+under the label ``parent`` or ``change`` in BENCH_<N>.json at the root of
+this checkout, which is written afresh.  Exits 1 if any run failed; its
+error is recorded.
 """
 
 from __future__ import annotations
@@ -45,34 +48,38 @@ def run_one(checkout: Path, workload: str, seed: int, seconds: int, trace: int) 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("n", type=int, help="number of the BENCH_<n>.json file")
-    ap.add_argument("--label", required=True, help="name of this run, e.g. parent")
-    ap.add_argument("--checkout", type=Path, default=ROOT)
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     args = ap.parse_args(argv)
 
-    checkout = args.checkout.resolve()
-    spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
-    records = []
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    records: dict[str, list[dict]] = {label: [] for label in sides}
+    order = list(sides)
     for workload in (w["name"] for w in spec["workloads"]):
         for trace in (0, 1):
-            records.append(run_one(checkout, workload, SEED, seconds, trace))
-            print(f"{workload} trace={trace}: "
-                  f"{'failed' if 'error' in records[-1] else 'ok'}", file=sys.stderr)
-    revisions = {r["environment"]["env"]["git_revision"] for r in records if "environment" in r}
+            for label in order:
+                record = run_one(sides[label], workload, SEED, seconds, trace)
+                records[label].append(record)
+                print(f"{label} {workload} trace={trace}: "
+                      f"{'failed' if 'error' in record else 'ok'}", file=sys.stderr)
+            order.reverse()
 
+    runs = []
+    for label, recorded in records.items():
+        revisions = {r["environment"]["env"]["git_revision"]
+                     for r in recorded if "environment" in r}
+        runs.append({
+            "label": label,
+            "git_revision": revisions.pop() if len(revisions) == 1 else None,
+            "seconds": seconds,
+            "records": recorded,
+        })
     out = ROOT / f"BENCH_{args.n}.json"
-    bench = (json.loads(out.read_text(encoding="utf-8")) if out.exists()
-             else {"bench": args.n, "runs": []})
-    bench["runs"] = [r for r in bench["runs"] if r["label"] != args.label]
-    bench["runs"].append({
-        "label": args.label,
-        "git_revision": revisions.pop() if len(revisions) == 1 else None,
-        "seconds": seconds,
-        "records": records,
-    })
-    out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    out.write_text(json.dumps({"bench": args.n, "runs": runs}, indent=1) + "\n",
+                   encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
-    return 1 if any("error" in r for r in records) else 0
+    return 1 if any("error" in r for recorded in records.values() for r in recorded) else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 from .circuit import Circuit
@@ -133,10 +133,8 @@ def _field(data: dict, key: str, default, valid, shape: str):
 
 
 def router_config_from_dict(entry: dict) -> RouterConfig:
-    known = {
-        "algorithm", "extended_size", "extended_weight",
-        "b_2q", "b_commute1", "b_commute2", "seed", "traversals",
-    }
+    # noise enters a bench through the spec's noise_profile path, not a router
+    known = {f.name for f in fields(RouterConfig)} - {"noise_profile"}
     bad = set(entry) - known
     if bad:
         raise BenchError(f"unknown router options: {sorted(bad)}")

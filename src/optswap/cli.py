@@ -85,14 +85,27 @@ def _route(args) -> int:
     return 0
 
 
+class PermFileError(ValueError):
+    """A ``verify --perm`` file that holds no mapping list where one belongs."""
+
+
 def _load_perm(path) -> tuple[list[int], list[int] | None]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, list):
-        return [int(x) for x in data], None
-    final = [int(x) for x in data["final_mapping"]]
+        return _mapping(path, "final_mapping", data), None
+    if not isinstance(data, dict) or "final_mapping" not in data:
+        raise PermFileError(f"{path}: expected a list or an object with final_mapping")
     initial = data.get("initial_mapping")
-    return final, [int(x) for x in initial] if initial is not None else None
+    return (_mapping(path, "final_mapping", data["final_mapping"]),
+            None if initial is None else _mapping(path, "initial_mapping", initial))
+
+
+def _mapping(path, name: str, value) -> list[int]:
+    # int() would truncate 1.9 and true to 1; a bool is not a qubit
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise PermFileError(f"{path}: {name} must be a list of integers, got {value!r}")
+    return value
 
 
 def _verify(args) -> int:

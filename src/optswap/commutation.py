@@ -21,14 +21,14 @@ pass looks up every node's gate id once, open sets carry the ids, and the
 decision for (new gate, set member), or for a gate against the gates between
 a cancelling pair, is looked up by the id pair.  Passes carry untouched gates
 through unchanged, so the same pairs come back in every cancellation round,
-every optimization round and both routing annotations.  An id pair new to
+every optimization round and the router's commute sets.  An id pair new to
 the compile is looked up by its gates' contents and relative wires, so the
 same two gates on other wires are decided once.  A 1q gate against a CX or
 CZ is looked up by its role instead (on the CX's control, on its target, or
 on the CZ), since that is all the closed form reads: both argument orders
 and both wire orders share one decision.  The router's sandwich predictor
-(``predict_ccommute2``) looks its decisions up in the same memo, which its
-DAG carries (``dag.memo``), by the ids of the physical gates it compares.
+(``predict_ccommute2``) takes the same memo as an argument and looks its
+decisions up by the ids of the physical gates it compares.
 
 The process-wide ``_commute_key`` cache below serves decisions across
 compiles, such as both routers' pre-optimization of one circuit; clearing
@@ -344,11 +344,11 @@ def _set_run(dag, hist, logical_wire):
     return run
 
 
-def predict_ccommute2(dag, hist_a, hist_b, pa, pb):
+def predict_ccommute2(memo: CompileMemo, hist_a, hist_b, pa, pb):
     """SWAP-sandwich predictor (a commute set boxed by two SWAPs on the same
     physical pair).  Returns (0, None, None) or (2, label, prev_swap_entry);
     the previous SWAP must be relabeled to match.  Decisions come from the
-    compile memo of the router's DAG (``dag.memo``)."""
+    compile memo."""
     mid_a, prev_a = _until_prev_swap(hist_a, pa, pb)
     if prev_a is None:
         return 0, None, None
@@ -364,7 +364,6 @@ def predict_ccommute2(dag, hist_a, hist_b, pa, pb):
         if id(entry) not in seen:
             seen.add(id(entry))
             middles.append(entry)
-    memo = dag.memo
     for control, target in ((pa, pb), (pb, pa)):
         inner_cx = Gate(GateKind.CX, (control, target))
         if all(_commutes(memo, inner_cx, e.gate) for e in middles) and _pairwise(

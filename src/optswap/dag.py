@@ -8,17 +8,14 @@ order, so ``order`` is just the node ids.  The optimization passes take a
 DAG and return one: a pass that changes gates picks the ones to keep from
 ``gates`` and builds the next DAG with ``with_gates``.
 
-The analysis passes annotate a DAG: ``collect_blocks`` assigns
-``block_id`` and ``blocks``, ``annotate_block_costs`` writes into
-``block_cx`` and ``block_cx_with_swap``, and ``commutation_analysis``
-assigns ``commute_set``.  Until then ``block_id`` and ``commute_set`` read
-as empty dicts; a subclass may compute them on first read instead (the
-router's DAGs do).
+The analysis passes annotate a DAG: ``collect_blocks`` sets ``blocks``
+and ``block_id``, and ``commutation_analysis`` sets ``commute_set``; each
+is None until then.  A DAG's gates never change, so neither do its
+annotations: the router routes on the DAG ``routing.optimize_circuit``
+returns and analyses only what its predictors read and that DAG lacks.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .circuit import Circuit
 
@@ -29,8 +26,9 @@ class CircuitDag:
         self.gates = circuit.gates
         self.order = range(len(self.gates))
         self.wires: list[list[int]] = [[] for _ in range(circuit.num_qubits)]
-        self.block_cx: dict[int, int] = {}
-        self.block_cx_with_swap: dict[int, int] = {}
+        self.blocks: list | None = None
+        self.block_id: dict[int, int] | None = None  # node -> block
+        self.commute_set: dict[tuple[int, int], int] | None = None  # (node, wire) -> set
 
         for nid, gate in enumerate(self.gates):
             for q in gate.qubits:
@@ -41,14 +39,6 @@ class CircuitDag:
         for q, wire in enumerate(self.wires):
             for pos, nid in enumerate(wire):
                 self.wire_pos[(nid, q)] = pos
-
-    @cached_property
-    def block_id(self) -> dict[int, int]:
-        return {}
-
-    @cached_property
-    def commute_set(self) -> dict[tuple[int, int], int]:
-        return {}
 
     def with_gates(self, gates) -> CircuitDag:
         """The DAG of the same registers holding `gates` instead."""
@@ -74,5 +64,5 @@ class CircuitDag:
         return sorted(succs)
 
 
-def build_dag(circuit: Circuit, cls: type[CircuitDag] = CircuitDag) -> CircuitDag:
-    return cls(circuit)
+def build_dag(circuit: Circuit) -> CircuitDag:
+    return CircuitDag(circuit)

@@ -10,8 +10,8 @@ gate pair or 1q run with the same content in any later round:
   CZ gets its counts when its entry is made (``synthesis.block_results``).
   A resynthesis pass fills the entries it needs all at once, after it has
   looked up every block of its DAG: first the counts, then the gates, each
-  in one stacked call (``routing.resynthesize_blocks``); the router fills
-  one block's counts at a time, as it reads them;
+  in one stacked call (``routing.resynthesize_blocks``); the router reads
+  and fills one block's counts at a time (``synthesis.annotate_block_costs``);
 - ``gate_ids``: a small int per distinct ``Gate`` (ids follow ``Gate``
   equality), so that the decisions below are looked up by ints instead of
   by re-hashing and comparing gates;
@@ -32,11 +32,9 @@ gate pair or 1q run with the same content in any later round:
   (``synthesis.merge_1q_runs``);
 - ``matrices``: per exact content (``exact_content``), the gate's matrix,
   built once and read-only (``matrix``), for the block unitaries and 1q-run
-  products of ``synthesis``;
-- ``fixpoint``: the DAG the last ``routing.optimize_circuit`` call returned
-  its circuit from, when its last round changed nothing and so analysed that
-  very DAG's blocks and commute sets; the router's DAG of the same gates
-  adopts them.  None when the round cap stopped the loop.
+  products of ``synthesis``.
+
+No DAG holds the memo: the passes and the router take it as an argument.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dag import CircuitDag
 from .gates import Gate, gate_matrix
 
 
@@ -81,7 +78,6 @@ class CompileMemo:
     content_ids: list[int] = field(default_factory=list)
     content_commute: dict[tuple, bool] = field(default_factory=dict)
     matrices: dict[tuple, np.ndarray] = field(default_factory=dict)
-    fixpoint: CircuitDag | None = None
 
     def matrix(self, gate: Gate) -> np.ndarray:
         """``gate_matrix(gate)``, built once per exact content; read-only,

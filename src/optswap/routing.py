@@ -32,25 +32,20 @@ LightSABRE: a drain re-checks only the front gates on the SWAP's two qubits
 and, sweep by sweep, the gates just made ready; a candidate's predicted
 savings are recomputed only when one of its two wires changed.
 
-The annotations the predictors read are computed on demand
-(``_RoutingDag``): a DAG's blocks and commute sets on the first
-``predict_c2q`` or ``predict_ccommute1`` read, and a block's CNOT counts
-when that block is first read.  So the baseline, which predicts nothing,
-computes none of them, and the optimization-aware router computes the
-costs of only the blocks its candidates reach.  The forward DAG's blocks
-and commute sets come from pre-optimization instead, whose last round
-analysed the same gates (``CompileMemo.fixpoint``); only when that loop
-stopped at its round cap are they computed on demand.
+The forward pass routes on the DAG pre-optimization returns, with the
+blocks and commute sets its last round analysed; ``route`` analyses only
+what its predictors read (blocks for ``predict_c2q``, commute sets for
+``predict_ccommute1``) and the DAG lacks, so the baseline analyses nothing.
+Block CNOT counts are read from the compile memo, which the router takes as
+an argument like every pass, and classified when a candidate first needs them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import weakref
 from bisect import insort
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +62,7 @@ from .dag import CircuitDag, build_dag
 from .gates import Gate, GateKind
 from .memo import CompileMemo
 from .synthesis import (
-    annotate_block_costs,
+    annotate_block_costs,  # not called here: perfbench/tracer.py rebinds this name
     block_results,
     block_unitary,
     collect_blocks,
@@ -212,9 +207,10 @@ class _RouteState:
     fixed DAG annotations), so they stay valid while both versions hold.
     """
 
-    def __init__(self, dag: CircuitDag, cmap: CouplingMap, mapping: QubitMapping,
-                 flags: tuple[bool, bool, bool] = (False, False, False)):
+    def __init__(self, dag: CircuitDag, memo: CompileMemo, cmap: CouplingMap,
+                 mapping: QubitMapping, flags: tuple[bool, bool, bool] = (False, False, False)):
         self.dag = dag
+        self.memo = memo
         self.cmap = cmap
         self.mapping = mapping
         self.flags = flags
@@ -343,14 +339,14 @@ class _RouteState:
         if b2q:
             pred_u = hist_u[-1].node_id if hist_u else None
             pred_v = hist_v[-1].node_id if hist_v else None
-            c2q = predict_c2q(self.dag, pred_u, pred_v)
+            c2q = predict_c2q(self.dag, self.memo, pred_u, pred_v)
         if bc1:
             lu, lv = self.mapping.phys_to_log[u], self.mapping.phys_to_log[v]
             value, found = predict_ccommute1(self.dag, hist_u, hist_v, lu, lv, u, v)
             if value:
                 ccommute1, label = value, found
         if bc2 and label.rationale == "none":
-            value, found, swap_entry = predict_ccommute2(self.dag, hist_u, hist_v, u, v)
+            value, found, swap_entry = predict_ccommute2(self.memo, hist_u, hist_v, u, v)
             if value:
                 ccommute2, label, prev = value, found, swap_entry
         pred = (c2q, ccommute1, ccommute2, label, prev)
@@ -489,14 +485,21 @@ def _score_edges(
 
 def route(
     dag: CircuitDag,
+    memo: CompileMemo,
     cmap: CouplingMap,
     dist: np.ndarray,
     cfg: RouterConfig,
     mapping: QubitMapping,
     rng: np.random.Generator,
 ) -> RouteOutcome:
-    """Run the layered loop until every gate is emitted on coupled qubits."""
-    state = _RouteState(dag, cmap, mapping, cfg.flags())
+    """Run the layered loop until every gate is emitted on coupled qubits,
+    after analysing what the configured predictors read and `dag` lacks."""
+    b2q, bc1, _ = flags = cfg.flags()
+    if b2q and dag.blocks is None:
+        collect_blocks(dag)
+    if bc1 and dag.commute_set is None:
+        commutation_analysis(dag, memo)
+    state = _RouteState(dag, memo, cmap, mapping, flags)
     rows = dist.tolist()
     outcome = RouteOutcome([], mapping)
     max_iter = 10 * cmap.num_physical_qubits * max(1, len(dag.order))
@@ -564,6 +567,7 @@ def _greedy_resolve(state: _RouteState, nid: int, dist: list[list[float]]) -> in
 def initial_mapping(
     fwd_dag: CircuitDag,
     rev_dag: CircuitDag,
+    memo: CompileMemo,
     cmap: CouplingMap,
     dist: np.ndarray,
     cfg: RouterConfig,
@@ -585,7 +589,7 @@ def initial_mapping(
     for i in range(passes):
         dag = fwd_dag if i % 2 == 0 else rev_dag
         pass_cfg = cfg if i == passes - 1 else plain
-        outcome = route(dag, cmap, dist, pass_cfg, mapping.copy(),
+        outcome = route(dag, memo, cmap, dist, pass_cfg, mapping.copy(),
                         np.random.default_rng([cfg.seed, 0xB22, i]))
         mapping = outcome.final_mapping
     return mapping
@@ -686,86 +690,20 @@ def resynthesize_blocks(dag: CircuitDag, memo: CompileMemo) -> CircuitDag:
     return dag.with_gates(out)
 
 
-def optimize_circuit(circuit: Circuit, memo: CompileMemo) -> Circuit:
+def optimize_circuit(circuit: Circuit, memo: CompileMemo) -> CircuitDag:
     """Re-synthesis + commutative cancellation + 1q merging, threaded
-    through one DAG, to a fixed point (at most 10 rounds).
-
-    A round that changes nothing has analysed the blocks and commute sets
-    of the DAG it returns; that DAG is left in ``memo.fixpoint`` (None when
-    the cap stops the loop first)."""
+    through one DAG, to a fixed point (at most 10 rounds); returns the last
+    DAG.  A pass that changes gates builds a new DAG, so whatever blocks and
+    commute sets that DAG holds are those of its own gates: all of them
+    when the last round changed nothing."""
     dag = build_dag(circuit)
-    memo.fixpoint = None
     for _ in range(10):
         start = dag
         dag = resynthesize_blocks(dag, memo)
         dag = commutative_cancellation(dag, memo)
         dag = merge_1q_runs(dag, memo)
         if dag.gates == start.gates:
-            if dag is start:
-                memo.fixpoint = dag
             break
-    return dag.circuit
-
-
-class _OnMiss(dict):
-    """A dict that calls ``fill(key)`` to store a key it misses."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        self.fill(key)
-        return self[key]
-
-
-class _RoutingDag(CircuitDag):
-    """A DAG whose routing annotations are computed on first read: the
-    blocks and commute sets of the whole DAG, and each block's CNOT counts
-    on their own.  ``adopt`` takes blocks and commute sets already analysed
-    instead."""
-
-    memo: CompileMemo
-
-    @cached_property
-    def block_id(self) -> dict[int, int]:
-        self._cost_on_demand(collect_blocks(self))  # assigns self.block_id
-        return self.block_id
-
-    @cached_property
-    def commute_set(self) -> dict[tuple[int, int], int]:
-        commutation_analysis(self, self.memo)  # assigns self.commute_set
-        return self.commute_set
-
-    def adopt(self, analysed: CircuitDag) -> None:
-        """Take the blocks and commute sets of `analysed`, a DAG of the same
-        gates on which ``collect_blocks`` and ``commutation_analysis`` ran."""
-        self.block_id = analysed.block_id
-        self.commute_set = analysed.commute_set
-        self._cost_on_demand(analysed.blocks)
-
-    def _cost_on_demand(self, blocks: list) -> None:
-        # a strong reference would put the DAG, and with it the compile's
-        # memo, in a cycle that outlives the compile until a full collection
-        ref = weakref.ref(self)
-
-        def costs(bid: int) -> None:
-            dag = ref()
-            annotate_block_costs(dag, [blocks[bid]], dag.memo)
-
-        self.block_cx = _OnMiss(costs)
-        self.block_cx_with_swap = _OnMiss(costs)
-
-
-def _annotate_for_routing(circuit: Circuit, memo: CompileMemo,
-                          analysed: CircuitDag | None = None) -> CircuitDag:
-    """The router's DAG of `circuit`, annotated on demand from `memo`, or
-    with the blocks and commute sets of `analysed`, a DAG of the same gates
-    that holds them."""
-    dag = build_dag(circuit, _RoutingDag)
-    dag.memo = memo
-    if analysed is not None:
-        dag.adopt(analysed)
     return dag
 
 
@@ -786,23 +724,20 @@ def full_pipeline(circuit: Circuit, cmap: CouplingMap, cfg: RouterConfig) -> Rou
     # block and commute results shared by every pass of this compile only
     memo = CompileMemo()
     body, measures = _split_final_measures(circuit)
-    logical = optimize_circuit(body, memo)
+    fwd_dag = optimize_circuit(body, memo)
+    logical = fwd_dag.circuit
     base = metrics(logical)
-    padded = Circuit(n, logical.gates, circuit.num_clbits)
-
-    # pre-optimization's last round analysed these very gates
-    fwd_dag = _annotate_for_routing(padded, memo, memo.fixpoint)
-    rev_dag = _annotate_for_routing(padded.with_gates(tuple(reversed(padded.gates))), memo)
+    rev_dag = build_dag(logical.with_gates(tuple(reversed(logical.gates))))
     dist = distance_matrix_for(cmap, cfg)
 
-    mapping = initial_mapping(fwd_dag, rev_dag, cmap, dist, cfg)
+    mapping = initial_mapping(fwd_dag, rev_dag, memo, cmap, dist, cfg)
     entry_mapping = list(mapping.log_to_phys)
     outcome = route(
-        fwd_dag, cmap, dist, cfg, mapping,
+        fwd_dag, memo, cmap, dist, cfg, mapping,
         np.random.default_rng([cfg.seed, 0xF1A1]),
     )
     routed = Circuit(n, tuple(decompose_swaps(outcome.ops)), circuit.num_clbits)
-    routed = optimize_circuit(routed, memo)
+    routed = optimize_circuit(routed, memo).circuit
     _assert_compliant(routed, cmap)
     final = metrics(routed)
     final_log_to_phys = outcome.final_mapping.log_to_phys

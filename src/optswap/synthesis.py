@@ -40,14 +40,16 @@ a block's key is its content, per gate (kind, positions of its qubits in the
 block's pair, params), which is all ``pair_unitary`` reads.  Its minimal
 CNOT count, the count with a SWAP appended and its ``kak_synthesize`` gates
 on the local pair (0, 1) are stored, each on first need; no block unitary
-is kept.  Synthesis seeds its own rng and reaches the pair only through the
-qubit labels of the gates it emits, so remapping the stored gates onto the
-real pair gives what synthesizing on that pair gives.  Likewise a 1q run's
-merge is stored under its gates' exact contents (``memo.exact_content``),
-without its wire.  Block unitaries and run products take each gate's
-matrix from the memo (``CompileMemo.matrix``), built once per content.
-``merge_1q_runs`` takes a DAG and returns one, like every optimization pass;
-it returns its argument when no run changes.
+is kept.  The router's block predictor reads the counts from the entry
+too, classifying what it lacks (``annotate_block_costs``).  Synthesis
+seeds its own rng and reaches the pair only through the qubit labels of
+the gates it emits, so remapping the stored gates onto the real pair gives
+what synthesizing on that pair gives.  Likewise a 1q run's merge is stored
+under its gates' exact contents (``memo.exact_content``), without its wire.
+Block unitaries and run products take each gate's matrix from the memo
+(``CompileMemo.matrix``), built once per content.  ``merge_1q_runs`` takes
+a DAG and returns one, like every optimization pass; it returns its
+argument when no run changes.
 
 A block whose one two-qubit gate is a CX, CY or CZ needs no numerics for
 its counts: with any 1q gates around it, it is locally equivalent to one
@@ -590,8 +592,8 @@ class TwoQubitBlock:
 
 
 def collect_blocks(dag: CircuitDag) -> list[TwoQubitBlock]:
-    """Maximal uninterrupted runs on one qubit pair; annotates dag.block_id
-    and keeps the list in dag.blocks."""
+    """Maximal uninterrupted runs on one qubit pair, indexed by block id;
+    sets ``dag.blocks`` to them and ``dag.block_id`` to each member's id."""
     blocks: list[TwoQubitBlock] = []
     open_block: dict[int, TwoQubitBlock | None] = {}
     pending: dict[int, list[int]] = {}
@@ -657,40 +659,37 @@ def block_results(memo: CompileMemo, gates, pair: tuple[int, int]) -> BlockResul
     return found
 
 
-def annotate_block_costs(dag: CircuitDag, blocks: list[TwoQubitBlock],
-                         memo: CompileMemo) -> None:
-    """Write each given block's CNOT counts with and without an appended
-    SWAP into ``dag.block_cx`` and ``dag.block_cx_with_swap``, so the
-    router's block predictor is a dictionary lookup.  A block's missing
-    counts, with and without the SWAP, are classified in one stacked call."""
-    for blk in blocks:
-        gates = [dag.gates[nid] for nid in blk.node_ids]
-        res = block_results(memo, gates, blk.qubit_pair)
-        if res.cx is None or res.cx_with_swap is None:
-            u = block_unitary(blk, dag, memo)
-            missing = [name for name in ("cx", "cx_with_swap") if getattr(res, name) is None]
-            stack = np.stack([u if name == "cx" else _SWAP4 @ u for name in missing])
-            for name, count in zip(missing, min_cnot_count(stack).tolist()):
-                setattr(res, name, count)
-        dag.block_cx[blk.block_id] = res.cx
-        dag.block_cx_with_swap[blk.block_id] = res.cx_with_swap
+def annotate_block_costs(dag: CircuitDag, block: TwoQubitBlock,
+                         memo: CompileMemo) -> BlockResults:
+    """The memo entry of a block of `dag`, with its CNOT counts with and
+    without an appended SWAP filled in; the missing ones are classified in
+    one stacked call."""
+    res = block_results(memo, [dag.gates[nid] for nid in block.node_ids], block.qubit_pair)
+    if res.cx is None or res.cx_with_swap is None:
+        u = block_unitary(block, dag, memo)
+        missing = [name for name in ("cx", "cx_with_swap") if getattr(res, name) is None]
+        stack = np.stack([u if name == "cx" else _SWAP4 @ u for name in missing])
+        for name, count in zip(missing, min_cnot_count(stack).tolist()):
+            setattr(res, name, count)
+    return res
 
 
-def predict_c2q(dag: CircuitDag, pred_a: int | None, pred_b: int | None) -> int:
+def predict_c2q(dag: CircuitDag, memo: CompileMemo, pred_a: int | None,
+                pred_b: int | None) -> int:
     """CNOT reduction if the candidate SWAP joins its predecessors' block.
 
     pred_a/pred_b are the DAG nodes immediately before the insertion point on
     the SWAP's two wires (None for inserted SWAPs or wire starts).  Non-zero
-    only when both carry the same block annotation.
+    only when both are in the same block of ``dag.blocks``, whose counts
+    come from the compile memo.
     """
     if pred_a is None or pred_b is None:
         return 0
     bid = dag.block_id.get(pred_a)
     if bid is None or dag.block_id.get(pred_b) != bid:
         return 0
-    c_before = dag.block_cx[bid]
-    c_after = dag.block_cx_with_swap[bid]
-    return max(0, min(3, c_before + 3 - c_after))
+    res = annotate_block_costs(dag, dag.blocks[bid], memo)
+    return max(0, min(3, res.cx + 3 - res.cx_with_swap))
 
 
 # -- single-qubit run merging -------------------------------------------------

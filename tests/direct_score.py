@@ -54,7 +54,7 @@ def direct_score(
         if b2q:
             pred_u = hist_u[-1].node_id if hist_u else None
             pred_v = hist_v[-1].node_id if hist_v else None
-            cand.c2q = predict_c2q(state.dag, pred_u, pred_v)
+            cand.c2q = predict_c2q(state.dag, state.memo, pred_u, pred_v)
         if bc1:
             lu, lv = mapping.phys_to_log[u], mapping.phys_to_log[v]
             value, label = predict_ccommute1(state.dag, hist_u, hist_v, lu, lv, u, v)
@@ -62,7 +62,7 @@ def direct_score(
                 cand.ccommute1 = value
                 cand.label = label
         if bc2 and cand.label.rationale == "none":
-            value, label, prev = predict_ccommute2(state.dag, hist_u, hist_v, u, v)
+            value, label, prev = predict_ccommute2(state.memo, hist_u, hist_v, u, v)
             if value:
                 cand.ccommute2 = value
                 cand.label = label

@@ -100,8 +100,8 @@ class ReferenceState(_RouteState):
     """The routing state with its drain, front upkeep and layer walk done
     from scratch; SWAP insertion is shared with the router."""
 
-    def __init__(self, dag, cmap, mapping):
-        super().__init__(dag, cmap, mapping)
+    def __init__(self, dag, memo, cmap, mapping):
+        super().__init__(dag, memo, cmap, mapping)
         self.resolved_nodes: set[int] = set()
 
     def executable(self, nid: int) -> bool:
@@ -182,7 +182,7 @@ def score_candidate(
         if b2q:
             pred_u = hist_u[-1].node_id if hist_u else None
             pred_v = hist_v[-1].node_id if hist_v else None
-            cand.c2q = predict_c2q(state.dag, pred_u, pred_v)
+            cand.c2q = predict_c2q(state.dag, state.memo, pred_u, pred_v)
         if bc1:
             lu, lv = mapping.phys_to_log[u], mapping.phys_to_log[v]
             value, label = predict_ccommute1(state.dag, hist_u, hist_v, lu, lv, u, v)
@@ -190,7 +190,7 @@ def score_candidate(
                 cand.ccommute1 = value
                 cand.label = label
         if bc2 and cand.label.rationale == "none":
-            value, label, prev = predict_ccommute2(state.dag, hist_u, hist_v, u, v)
+            value, label, prev = predict_ccommute2(state.memo, hist_u, hist_v, u, v)
             if value:
                 cand.ccommute2 = value
                 cand.label = label
@@ -206,9 +206,9 @@ def score_candidate(
     return cand
 
 
-def reference_route(dag, cmap, dist: np.ndarray, cfg: RouterConfig, mapping,
+def reference_route(dag, memo, cmap, dist: np.ndarray, cfg: RouterConfig, mapping,
                     rng: np.random.Generator) -> RouteOutcome:
-    state = ReferenceState(dag, cmap, mapping)
+    state = ReferenceState(dag, memo, cmap, mapping)
     rows = dist.tolist()
     outcome = RouteOutcome([], mapping)
     max_iter = 10 * cmap.num_physical_qubits * max(1, len(dag.order))

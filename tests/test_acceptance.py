@@ -176,7 +176,7 @@ def test_criterion_5_decomposition_micro_cases():
         RoutedOp(Gate(GateKind.U3, (1,), (0.3, 0.5, 0.7)), 2),
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
-    final = optimize_circuit(raw, CompileMemo())
+    final = optimize_circuit(raw, CompileMemo()).circuit
     m = metrics(final)
     assert m["cnot_count"] == 3
     assert sum(1 for g in final.gates if g.kind is GateKind.U3) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -151,6 +152,20 @@ def test_bench_spec_loader(tmp_path):
     assert with_large.circuits == ["grover_n4", "vqe_n8"]
 
 
+def test_bench_spec_takes_every_router_option_but_the_noise_profile(tmp_path):
+    entry = {"algorithm": "nassc", "extended_size": 7, "extended_weight": 0.25,
+             "b_2q": False, "b_commute1": True, "b_commute2": False, "seed": 4,
+             "traversals": 2}
+    assert set(entry) == {f.name for f in dataclasses.fields(RouterConfig)} - {"noise_profile"}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"circuits": ["grover_n4"], "routers": [entry]}))
+    assert load_bench_spec(spec_file).routers == (RouterConfig(**entry),)
+    spec_file.write_text(json.dumps({"circuits": ["grover_n4"],
+                                     "routers": [{**entry, "noise_profile": None}]}))
+    with pytest.raises(BenchError, match="unknown router options: \\['noise_profile'\\]"):
+        load_bench_spec(spec_file)
+
+
 @pytest.mark.parametrize("entry", [
     {"traversals": 2.5}, {"seed": -1},
     # "false" used to run with the predictor on, tagged plain "nassc"
@@ -230,6 +245,25 @@ def test_cli_route_and_verify(tmp_path):
                                "initial_mapping": data["initial_mapping"]}))
     assert main(["verify", "--a", str(src), "--b", str(out),
                  "--perm", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("perm, field", [
+    ({"initial_mapping": [0, 1, 2]}, "final_mapping"),
+    ({"final_mapping": {"0": 1}}, "final_mapping"),
+    ({"final_mapping": [0, 1.9, 2]}, "final_mapping"),
+    ({"final_mapping": [0, 1, 2], "initial_mapping": [0, True, 2]}, "initial_mapping"),
+    ([0, "1", 2], "final_mapping"),
+    ("0 1 2", "final_mapping"),
+], ids=["missing", "not_a_list", "float", "bool", "string", "not_an_object"])
+def test_cli_verify_rejects_a_malformed_perm_file(tmp_path, capsys, perm, field):
+    src = tmp_path / "fig1.qasm"
+    src.write_text(FIG1_QASM)
+    perm_file = tmp_path / "perm.json"
+    perm_file.write_text(json.dumps(perm))
+    assert main(["verify", "--a", str(src), "--b", str(src), "--perm", str(perm_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PermFileError: ")
+    assert str(perm_file) in err and field in err
 
 
 def test_cli_route_compliant_inserts_nothing(tmp_path):

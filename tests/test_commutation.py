@@ -19,7 +19,6 @@ from optswap.commutation import (
 from optswap.dag import build_dag
 from optswap.gates import _PARAM_ARITY, Gate, GateKind
 from optswap.memo import CompileMemo
-from optswap.routing import _annotate_for_routing
 from optswap.sim import circuit_unitary
 
 from conftest import phase_distance
@@ -396,32 +395,32 @@ def test_predict_ccommute1_blocked_by_inserted_swap():
 def test_predict_ccommute2_sandwich():
     # prior SWAP on the pair, two commuting controlled gates in between
     circ = Circuit(4, (crx(0.5, 1, 2), crx(0.7, 1, 3)))
-    dag = _annotate_for_routing(circ, CompileMemo())
+    dag = build_dag(circ)
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     mid_a, mid_b = dag.order
     hist_0 = [prev]
     hist_1 = [prev, FakeEntry(dag.gates[mid_a], mid_a),
               FakeEntry(dag.gates[mid_b], mid_b)]
-    value, label, prev_found = predict_ccommute2(dag, hist_0, hist_1, 0, 1)
+    value, label, prev_found = predict_ccommute2(CompileMemo(), hist_0, hist_1, 0, 1)
     assert value == 2
     assert prev_found is prev
     assert label.control_phys == 1  # CX with control on wire 1 commutes with both
 
 
 def test_predict_ccommute2_rejects_empty_sandwich():
-    dag = _annotate_for_routing(Circuit(2, ()), CompileMemo())
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
-    value, label, prev_found = predict_ccommute2(dag, [prev], [prev], 0, 1)
+    value, label, prev_found = predict_ccommute2(CompileMemo(), [prev], [prev], 0, 1)
     assert value == 0
 
 
 def test_predict_ccommute2_non_commuting_middle():
     circ = Circuit(2, (Gate(GateKind.H, (1,)), cx(0, 1)))
-    dag = _annotate_for_routing(circ, CompileMemo())
+    dag = build_dag(circ)
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     h_entry = FakeEntry(dag.gates[0], 0)
     cx_entry = FakeEntry(dag.gates[1], 1)
-    value, label, _ = predict_ccommute2(dag, [prev, cx_entry], [prev, h_entry, cx_entry], 0, 1)
+    value, label, _ = predict_ccommute2(CompileMemo(), [prev, cx_entry],
+                                        [prev, h_entry, cx_entry], 0, 1)
     assert value == 0
 
 
@@ -430,17 +429,17 @@ def test_predict_ccommute2_takes_its_decisions_from_the_compile_memo(monkeypatch
     the same as ``gates_commute``."""
     circ = Circuit(4, (crx(0.5, 1, 2), u3(1), crx(0.7, 1, 3), cx(0, 1)))
     memo = CompileMemo()
-    dag = _annotate_for_routing(circ, memo)
+    dag = build_dag(circ)
     prev = FakeEntry(Gate(GateKind.SWAP, (0, 1)), None, is_swap=True)
     hist_0 = [prev, FakeEntry(dag.gates[3], 3)]
     hist_1 = [prev] + [FakeEntry(dag.gates[nid], nid) for nid in dag.order]
     decided = []
     monkeypatch.setattr(commutation, "gates_commute",
                         lambda g1, g2: decided.append((g1, g2)) or gates_commute(g1, g2))
-    first = predict_ccommute2(dag, hist_0, hist_1, 0, 1)
+    first = predict_ccommute2(memo, hist_0, hist_1, 0, 1)
     assert decided and memo.commute
     assert all(memo.commute[(memo.gate_id(g1), memo.gate_id(g2))] == gates_commute(g1, g2)
                for g1, g2 in decided)
     count = len(decided)
-    assert predict_ccommute2(dag, hist_0, hist_1, 0, 1) == first
+    assert predict_ccommute2(memo, hist_0, hist_1, 0, 1) == first
     assert len(decided) == count

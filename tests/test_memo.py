@@ -24,16 +24,15 @@ from optswap.routing import (
     NASSC,
     SABRE,
     RouterConfig,
-    _annotate_for_routing,
     full_pipeline,
     optimize_circuit,
     resynthesize_blocks,
 )
 from optswap.sim import circuit_unitary
-from optswap.synthesis import merge_1q_runs
+from optswap.synthesis import collect_blocks, merge_1q_runs
 from optswap.topology import grid_map
 
-from annotate_reference import assert_same_annotations, force_annotations
+from annotate_reference import force_annotations
 from conftest import phase_distance
 
 
@@ -84,22 +83,30 @@ def assert_same_circuit(a: Circuit, b: Circuit):
 
 
 def optimize_and_annotate(circuit: Circuit, memo: CompileMemo):
-    """Pre-optimization and both routing annotations, as full_pipeline runs
-    them: one memo for all three, with every annotation forced."""
-    logical = optimize_circuit(circuit, memo)
-    reverse = logical.with_gates(tuple(reversed(logical.gates)))
-    return logical, [force_annotations(_annotate_for_routing(c, memo))
-                     for c in (logical, reverse)]
+    """Pre-optimization and the annotations of both routing DAGs, as
+    full_pipeline computes them: one memo for all, and every block's counts
+    read.  Returns the circuit and, per DAG, its blocks, block ids, commute
+    sets and block counts."""
+    forward = optimize_circuit(circuit, memo)
+    reverse = build_dag(forward.circuit.with_gates(tuple(reversed(forward.gates))))
+    annotations = []
+    for dag in (forward, reverse):
+        if dag.blocks is None:
+            collect_blocks(dag)
+        if dag.commute_set is None:
+            commutation_analysis(dag, memo)
+        annotations.append((dag.blocks, dag.block_id, dag.commute_set,
+                            force_annotations(dag, memo)))
+    return forward.circuit, annotations
 
 
 def assert_memo_changes_nothing(circuit: Circuit):
     memo = CompileMemo()
-    got, got_dags = optimize_and_annotate(circuit, memo)
-    want, want_dags = optimize_and_annotate(circuit, forgetful())
+    got, got_annotations = optimize_and_annotate(circuit, memo)
+    want, want_annotations = optimize_and_annotate(circuit, forgetful())
     assert memo.blocks and memo.commute and memo.content_commute and memo.matrices
     assert_same_circuit(got, want)
-    for dag, ref in zip(got_dags, want_dags):
-        assert_same_annotations(dag, ref)
+    assert got_annotations == want_annotations
 
 
 def compile_both_ways(monkeypatch, circuit, cmap, cfg):
@@ -278,8 +285,8 @@ def test_merge_memo_keeps_the_sign_of_zero_params():
 
 
 def test_compile_frees_its_memo_without_the_cycle_collector(monkeypatch):
-    # the router's DAGs hold the memo; a cycle through them kept every
-    # compile's memo alive until the next full collection
+    # a cycle through the memo would keep every compile's memo alive until
+    # the next full collection
     memos = []
 
     class Recorded(CompileMemo):

@@ -56,7 +56,7 @@ def test_single_cancellation_case_counts():
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
     assert metrics(raw)["cnot_count"] == 5
-    final = optimize_circuit(raw, CompileMemo())
+    final = optimize_circuit(raw, CompileMemo()).circuit
     m = metrics(final)
     assert m["cnot_count"] == 3
     assert sum(1 for g in final.gates if g.kind is GateKind.U3) == 1
@@ -74,7 +74,7 @@ def test_single_cancellation_unlabeled_orientation_stays_expensive():
         swap_op(0, 1),
     ]
     raw = Circuit(3, tuple(decompose_swaps(ops)))
-    final = optimize_circuit(raw, CompileMemo())
+    final = optimize_circuit(raw, CompileMemo()).circuit
     assert metrics(final)["cnot_count"] == 5
 
 
@@ -121,7 +121,7 @@ def test_swap_sandwich_in_basis_gates():
         swap_op(0, 1, control=1, rationale="commute2"),
     ]
     raw = Circuit(4, tuple(decompose_swaps(labeled)))
-    final = optimize_circuit(raw, CompileMemo())
+    final = optimize_circuit(raw, CompileMemo()).circuit
     assert metrics(final)["cnot_count"] == 6  # 4 ladder CX + the 2 middles
     assert phase_distance(circuit_unitary(final), circuit_unitary(raw)) < 1e-8
 

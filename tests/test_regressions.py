@@ -29,7 +29,7 @@ def test_grover4_baseline_cnot_total():
     exactly 84 CNOTs (pinned; the reference table row is 84 +- 10%)."""
     circuit = builtin_circuit("grover_n4")
     body = circuit.with_gates(g for g in circuit.gates if g.kind.value != "measure")
-    baseline = metrics(optimize_circuit(body, CompileMemo()))
+    baseline = metrics(optimize_circuit(body, CompileMemo()).circuit)
     assert baseline["cnot_count"] == 84
     assert 75.6 <= baseline["cnot_count"] <= 92.4
 

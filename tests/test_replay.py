@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from optswap.circuit import Circuit
+from optswap.dag import build_dag
 from optswap.gates import Gate, GateKind
 from optswap.memo import CompileMemo
 from optswap.routing import (
     NASSC,
     SABRE,
     RouterConfig,
-    _annotate_for_routing,
     distance_matrix_for,
     initial_mapping,
     optimize_circuit,
@@ -34,12 +34,11 @@ def random_cx(rng, n, count):
 def routed(circuit, cmap, cfg):
     """Route the way full_pipeline does; returns (dag, entry layout, outcome)."""
     memo = CompileMemo()
-    logical = optimize_circuit(circuit, memo)
-    fwd = _annotate_for_routing(logical, memo)
-    rev = _annotate_for_routing(logical.with_gates(tuple(reversed(logical.gates))), memo)
+    fwd = optimize_circuit(circuit, memo)
+    rev = build_dag(fwd.circuit.with_gates(tuple(reversed(fwd.gates))))
     dist = distance_matrix_for(cmap, cfg)
-    entry = initial_mapping(fwd, rev, cmap, dist, cfg)
-    outcome = route(fwd, cmap, dist, cfg, entry.copy(),
+    entry = initial_mapping(fwd, rev, memo, cmap, dist, cfg)
+    outcome = route(fwd, memo, cmap, dist, cfg, entry.copy(),
                     np.random.default_rng([cfg.seed, 0xF1A1]))
     return fwd, entry, outcome
 

@@ -237,8 +237,7 @@ def test_block_unitary_reversed_pair_orientation():
 def _annotated(gates, n):
     dag = build_dag(Circuit(n, tuple(gates)))
     blocks = collect_blocks(dag)
-    annotate_block_costs(dag, blocks, CompileMemo())
-    return dag, blocks
+    return dag, blocks, CompileMemo()
 
 
 def test_predict_c2q_single_cx_block(rng):
@@ -250,19 +249,19 @@ def test_predict_c2q_single_cx_block(rng):
         Gate(GateKind.U3, (0,), tuple(rng.uniform(-2, 2, 3))),
         Gate(GateKind.U3, (1,), tuple(rng.uniform(-2, 2, 3))),
     ]
-    dag, blocks = _annotated(gates, 2)
+    dag, blocks, memo = _annotated(gates, 2)
     last_0 = dag.wires[0][-1]
     last_1 = dag.wires[1][-1]
-    assert dag.block_cx[blocks[0].block_id] == 1
-    assert dag.block_cx_with_swap[blocks[0].block_id] == 2
-    assert predict_c2q(dag, last_0, last_1) == 2
+    res = annotate_block_costs(dag, blocks[0], memo)
+    assert (res.cx, res.cx_with_swap) == (1, 2)
+    assert predict_c2q(dag, memo, last_0, last_1) == 2
 
 
 def test_predict_c2q_no_block():
-    dag, _ = _annotated([cx(0, 1), cx(1, 2)], 3)
+    dag, _, memo = _annotated([cx(0, 1), cx(1, 2)], 3)
     # predecessors on wires 0 and 2 belong to different blocks
-    assert predict_c2q(dag, dag.wires[0][-1], dag.wires[2][-1]) == 0
-    assert predict_c2q(dag, None, dag.wires[1][-1]) == 0
+    assert predict_c2q(dag, memo, dag.wires[0][-1], dag.wires[2][-1]) == 0
+    assert predict_c2q(dag, memo, None, dag.wires[1][-1]) == 0
 
 
 def test_predict_c2q_free_swap(rng):
@@ -272,9 +271,9 @@ def test_predict_c2q_free_swap(rng):
         gates.append(Gate(GateKind.U3, (0,), tuple(rng.uniform(-2, 2, 3))))
         gates.append(Gate(GateKind.U3, (1,), tuple(rng.uniform(-2, 2, 3))))
         gates.append(cx(0, 1))
-    dag, blocks = _annotated(gates, 2)
-    assert dag.block_cx[blocks[0].block_id] == 3
-    assert predict_c2q(dag, dag.wires[0][-1], dag.wires[1][-1]) == 3
+    dag, blocks, memo = _annotated(gates, 2)
+    assert annotate_block_costs(dag, blocks[0], memo).cx == 3
+    assert predict_c2q(dag, memo, dag.wires[0][-1], dag.wires[1][-1]) == 3
 
 
 def test_predict_c2q_range(rng):
@@ -286,10 +285,10 @@ def test_predict_c2q_range(rng):
             gates.append(Gate(GateKind.U3, (1,), tuple(rng.uniform(-2, 2, 3))))
             if k:
                 gates.append(cx(0, 1))
-        dag, blocks = _annotated(gates, 2)
+        dag, blocks, memo = _annotated(gates, 2)
         if not blocks:
             continue
-        value = predict_c2q(dag, dag.wires[0][-1], dag.wires[1][-1])
+        value = predict_c2q(dag, memo, dag.wires[0][-1], dag.wires[1][-1])
         assert 0 <= value <= 3
 
 
